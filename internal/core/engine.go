@@ -126,7 +126,7 @@ type Engine[G any] struct {
 	statBuf []float64
 
 	// ordA, ordB are the reused index buffers of the elitism/immigration
-	// sorts, keeping the per-generation ranking allocation-free.
+	// selections, keeping the per-generation ranking allocation-free.
 	ordA, ordB []int
 
 	// localEvals/localBatch/batchEvals/batchSpan cache the optional
@@ -542,10 +542,9 @@ func (e *Engine[G]) immigrationOffspring(next []Individual[G], children []G) (nE
 	nCross := n - nBest - nRand
 	// Elites: best nBest individuals of the current population, carried
 	// over with their cached objective and fitness.
-	order := sortedIndices(e.ordA, e.pop)
-	e.ordA = order
-	for i := 0; i < nBest && i < len(order); i++ {
-		src := e.pop[order[i]]
+	e.ordA = bestK(e.ordA, e.pop, nBest)
+	for _, i := range e.ordA {
+		src := e.pop[i]
 		next[nElite] = Individual[G]{Genome: e.cloneGenome(src.Genome), Obj: src.Obj, Fit: src.Fit}
 		nElite++
 	}
@@ -572,18 +571,13 @@ func (e *Engine[G]) immigrationOffspring(next []Individual[G], children []G) (nE
 }
 
 // applyElitism copies the Elite best previous individuals over the worst
-// children, recycling the displaced children's genome storage.
+// children, recycling the displaced children's genome storage. The i-th
+// best meets the i-th worst, both chosen before any replacement.
 func (e *Engine[G]) applyElitism(next []Individual[G]) {
-	prevOrder := sortedIndices(e.ordA, e.pop)
-	nextOrder := sortedIndices(e.ordB, next)
-	e.ordA, e.ordB = prevOrder, nextOrder
-	k := e.cfg.Elite
-	if k > len(prevOrder) {
-		k = len(prevOrder)
-	}
-	for i := 0; i < k; i++ {
-		eliteIdx := prevOrder[i]
-		worstIdx := nextOrder[len(nextOrder)-1-i]
+	e.ordA = bestK(e.ordA, e.pop, e.cfg.Elite)
+	e.ordB = worstK(e.ordB, next, len(e.ordA))
+	for i, worstIdx := range e.ordB {
+		eliteIdx := e.ordA[i]
 		if e.pop[eliteIdx].Obj < next[worstIdx].Obj {
 			if e.cloneInto != nil {
 				e.free = append(e.free, next[worstIdx].Genome)
@@ -597,27 +591,50 @@ func (e *Engine[G]) applyElitism(next []Individual[G]) {
 	}
 }
 
-// sortedIndices returns population indices ordered by ascending objective,
-// reusing buf's capacity so the per-generation rankings do not allocate.
-func sortedIndices[G any](buf []int, pop []Individual[G]) []int {
-	idx := buf
-	if cap(idx) < len(pop) {
-		idx = make([]int, len(pop))
+// bestK returns the indices of the k lowest-objective individuals of pop,
+// best first and lower index first among ties: exactly the first k
+// entries of a stable ascending sort. worstK returns the k highest, worst
+// first and higher index first among ties: the last k entries of that
+// sort, reversed. Both keep a sorted selection of at most k entries, so
+// they cost O(n·k) and reuse buf's capacity. Objectives must not be NaN.
+func bestK[G any](buf []int, pop []Individual[G], k int) []int {
+	return selectK(buf, pop, k, 1)
+}
+
+func worstK[G any](buf []int, pop []Individual[G], k int) []int {
+	return selectK(buf, pop, k, -1)
+}
+
+// selectK ranks by sign·Obj ascending, scanning pop upward for sign 1 and
+// downward for sign -1, so that with strict comparisons the earlier-
+// scanned individual stays ahead among ties.
+func selectK[G any](buf []int, pop []Individual[G], k int, sign float64) []int {
+	k = max(0, min(k, len(pop)))
+	sel := buf[:0]
+	if cap(sel) < k {
+		sel = make([]int, 0, k)
 	}
-	idx = idx[:len(pop)]
-	for i := range idx {
-		idx[i] = i
+	i, step := 0, 1
+	if sign < 0 {
+		i, step = len(pop)-1, -1
 	}
-	// Insertion sort: populations are small and this avoids a sort.Slice
-	// closure allocation in the per-generation hot path.
-	for i := 1; i < len(idx); i++ {
-		j := i
-		for j > 0 && pop[idx[j-1]].Obj > pop[idx[j]].Obj {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
+	for ; i >= 0 && i < len(pop); i += step {
+		v := sign * pop[i].Obj
+		j := len(sel)
+		if j < k {
+			sel = append(sel, i)
+		} else if k > 0 && v < sign*pop[sel[k-1]].Obj {
+			j--
+		} else {
+			continue
+		}
+		for j > 0 && sign*pop[sel[j-1]].Obj > v {
+			sel[j] = sel[j-1]
 			j--
 		}
+		sel[j] = i
 	}
-	return idx
+	return sel
 }
 
 func (e *Engine[G]) record() {

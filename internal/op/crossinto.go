@@ -34,39 +34,58 @@ func intoKeys(dst []float64, n int) []float64 {
 }
 
 // JOXInto is the recycling job-order crossover (see JOX). The factory's
-// instances own the keep-mask scratch.
+// instances own the keep-mask and fill scratch, so a steady-state call
+// allocates nothing.
 func JOXInto(numJobs int) func() core.CrossoverInto[[]int] {
 	return func() core.CrossoverInto[[]int] {
-		keep := make([]bool, numJobs)
+		keep := make([]int, numJobs)
+		var fill []int
 		return func(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
-			for j := range keep {
-				keep[j] = r.Bool(0.5)
-			}
+			fill = intoInts(fill, max(len(a), len(b)))
 			dst1 = intoInts(dst1, len(a))
-			dst2 = intoInts(dst2, len(a))
-			joxChildInto(dst1, a, b, keep)
-			joxChildInto(dst2, b, a, keep)
+			dst2 = intoInts(dst2, len(b))
+			jox(r, a, b, dst1, dst2, keep, fill)
 			return dst1, dst2
 		}
 	}
 }
 
-// joxChildInto is joxChild writing into a pre-sized child slice.
-func joxChildInto(child, a, b []int, keep []bool) {
-	n := len(a)
-	bi := 0
-	for i := 0; i < n; i++ {
-		if keep[a[i]] {
-			child[i] = a[i]
-			continue
-		}
-		for bi < len(b) && keep[b[bi]] {
-			bi++
-		}
-		if bi < len(b) {
-			child[i] = b[bi]
-			bi++
-		}
+// jox is the one JOX kernel behind JOX and JOXInto. It draws the keep
+// mask — len(keep) fair coins in job order, 1 meaning the job keeps its
+// positions — and writes both children: c1 (len(a)) from a kept and b
+// filling, c2 (len(b)) the other way round. fill is scratch of at least
+// max(len(a), len(b)).
+func jox(r *rng.RNG, a, b, c1, c2, keep, fill []int) {
+	for j := range keep {
+		keep[j] = btoi(r.Bool(0.5))
+	}
+	joxChildInto(c1, a, b, keep, fill)
+	joxChildInto(c2, b, a, keep, fill)
+}
+
+// joxChildInto writes the JOX child of a and b into child in two
+// straight-line passes with no data-dependent branch: it compacts b's
+// non-kept tokens into fill, then takes each position from a when a's
+// token is kept and from the next fill token otherwise, selecting with a
+// mask. Tokens must lie in [0, len(keep)).
+//
+// A valid JOX needs parents with the same token multiset. For parents
+// that differ, positions left without a fill token are 0, as in the
+// reference two-pointer loop; nothing panics.
+func joxChildInto(child, a, b, keep, fill []int) {
+	w := 0
+	for _, t := range b {
+		fill[w] = t
+		w += 1 - keep[t]
+	}
+	clear(fill[w:])
+	child = child[:len(a)]
+	r := 0
+	for i, t := range a {
+		k := keep[t]
+		m := -k // all ones when t is kept
+		child[i] = t&m | fill[r]&^m
+		r += 1 - k
 	}
 }
 

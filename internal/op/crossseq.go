@@ -12,34 +12,18 @@ import "repro/internal/rng"
 // in the second parent. It preserves each parent's relative job orderings,
 // which is why it is the workhorse crossover for operation-based job shop
 // chromosomes (Park et al. [26] build several variants of it).
+//
+// Parents must share a token multiset over jobs 0..numJobs-1; see
+// joxChildInto for what happens when they do not.
 func JOX(numJobs int) func(r *rng.RNG, a, b []int) ([]int, []int) {
 	return func(r *rng.RNG, a, b []int) ([]int, []int) {
-		keep := make([]bool, numJobs)
-		for j := range keep {
-			keep[j] = r.Bool(0.5)
-		}
-		return joxChild(a, b, keep), joxChild(b, a, keep)
+		// keep and fill share one allocation, so a call allocates exactly
+		// the scratch slice and the two children.
+		buf := make([]int, numJobs+max(len(a), len(b)))
+		c1, c2 := make([]int, len(a)), make([]int, len(b))
+		jox(r, a, b, c1, c2, buf[:numJobs:numJobs], buf[numJobs:])
+		return c1, c2
 	}
-}
-
-func joxChild(a, b []int, keep []bool) []int {
-	n := len(a)
-	child := make([]int, n)
-	bi := 0
-	for i := 0; i < n; i++ {
-		if keep[a[i]] {
-			child[i] = a[i]
-			continue
-		}
-		for bi < len(b) && keep[b[bi]] {
-			bi++
-		}
-		if bi < len(b) {
-			child[i] = b[bi]
-			bi++
-		}
-	}
-	return child
 }
 
 // SeqOnePoint keeps the first parent's prefix up to a random cut and
