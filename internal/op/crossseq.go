@@ -17,11 +17,13 @@ import "repro/internal/rng"
 // joxChildInto for what happens when they do not.
 func JOX(numJobs int) func(r *rng.RNG, a, b []int) ([]int, []int) {
 	return func(r *rng.RNG, a, b []int) ([]int, []int) {
-		// keep and fill share one allocation, so a call allocates exactly
-		// the scratch slice and the two children.
-		buf := make([]int, numJobs+max(len(a), len(b)))
-		c1, c2 := make([]int, len(a)), make([]int, len(b))
-		jox(r, a, b, c1, c2, buf[:numJobs:numJobs], buf[numJobs:])
+		// One allocation per call: the children, then the keep mask and
+		// the fill scratch. Full-slice expressions cap each child at its
+		// length, so appending to one cannot overwrite the other.
+		n1, n2 := len(a), len(a)+len(b)
+		buf := make([]int, n2+numJobs+max(len(a), len(b)))
+		c1, c2 := buf[:n1:n1], buf[n1:n2:n2]
+		jox(r, a, b, c1, c2, buf[n2:n2+numJobs], buf[n2+numJobs:])
 		return c1, c2
 	}
 }

@@ -151,6 +151,28 @@ func TestJOXIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestJOXOneAlloc guards plain JOX's allocation budget — both children
+// and its scratch come from one allocation per call — and that the
+// children cannot grow into each other: appending to the first leaves the
+// second intact.
+func TestJOXOneAlloc(t *testing.T) {
+	r := rng.New(1)
+	a, b := randomOpSeq(r, 15, 10), randomOpSeq(r, 15, 10)
+	cross := JOX(15)
+	if n := testing.AllocsPerRun(100, func() { cross(r, a, b) }); n != 1 {
+		t.Fatalf("JOX allocates %.1f times per call, want 1", n)
+	}
+	c1, c2 := cross(r, a, b)
+	if cap(c1) != len(a) || cap(c2) != len(b) {
+		t.Fatalf("children have cap %d, %d; want %d, %d", cap(c1), cap(c2), len(a), len(b))
+	}
+	want := append([]int(nil), c2...)
+	_ = append(c1, -1)
+	if !reflect.DeepEqual(c2, want) {
+		t.Fatalf("appending to the first child changed the second")
+	}
+}
+
 // FuzzJOXInto checks the kernel against the oracle on fuzzer-chosen
 // shapes: the fuzz input picks the job count, operations per job and the
 // seeds of both parents and the keep mask.
