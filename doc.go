@@ -29,9 +29,9 @@
 // crash-safe internal/jobstore persists per-job records with atomic
 // renames and CRC-checksummed checkpoint frames (torn or corrupt frames
 // are quarantined, never fatal), the checkpointable models snapshot
-// their full state — flat population for serial/ms, a per-deme layout
-// (population, objectives, incumbent, RNG stream, epoch counter) for
-// the epoch models island/hybrid — through solver.SolveWithCheckpoints
+// their full state — flat population and shard substreams for serial/ms,
+// a per-deme layout (population, objectives, incumbent, RNG streams,
+// epoch counter) for the epoch models island/hybrid — through solver.SolveWithCheckpoints
 // / Service.OnCheckpoint, and a
 // restarted daemon replays the store: terminal jobs served from disk,
 // in-flight jobs resumed bit-identically from their newest checkpoint
@@ -69,16 +69,17 @@
 // arithmetic, with precomputed flat operation tables and scalar fallback
 // for the irregular kinds. Property and fuzz tests pin each rung to the
 // one below bit for bit, and BENCH_hotpath.json records the measured gaps.
-// Problems expose the rungs through the core.LocalEvalProblem and
-// core.BatchEvalProblem seams; evaluators route spans to per-worker batch
-// closures via core.BatchSpanEvaluator.
-// Above the kernels, core.Config.Workers selects the sharded generation
-// pipeline: persistent workers execute whole shards of each generation
-// (selection, crossover, mutation, evaluation) end-to-end with per-shard
-// RNG substreams (rng.SplitN) and worker-owned scratches — each shard of 4
-// children is exactly one batch tile — allocation-free and bit-identical
-// for any worker count; Spec.Params.Workers threads the width through
-// every model.
+// Problems expose the batch rung through the core.BatchEvalProblem seam.
+// Above the kernels sits one generation pipeline: every core.Engine Step
+// cuts the next generation into shards of 4 children, each drawing from
+// its own RNG substream (rng.SplitN), and executors run selection,
+// crossover, mutation and evaluation for whole shards end-to-end, each
+// through its own batch closure — one shard is exactly one batch tile.
+// core.Config.Workers only sets how many executors share the shards (0 or
+// 1: inline on the caller, no goroutines), so every width computes the
+// same trajectory allocation-free; serial is the inline pipeline, ms the
+// same pipeline on worker goroutines, and Spec.Params.Workers threads the
+// width through every model.
 //
 // See README.md for the layout, the solver API and the performance
 // architecture, DESIGN.md for the system inventory and per-experiment

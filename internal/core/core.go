@@ -13,10 +13,17 @@
 //
 // The engine is generic over the genome type G. A Problem[G] supplies
 // random initialisation, objective evaluation (minimised), and cloning.
-// Fitness transforms implement the paper's equations (1) and (2); the
-// Evaluator seam lets the master-slave model replace step 7 with parallel
-// evaluation without touching the algorithm (which is exactly the survey's
-// point about that model).
+// Fitness transforms implement the paper's equations (1) and (2).
+//
+// There is one generation pipeline and one evaluation seam. Every Step
+// partitions the next generation into fixed-size shards, each with its own
+// random substream, and executors run lines 4-7 for whole shards (see
+// sharded.go); each executor evaluates through one batch closure, the
+// problem's BatchEvalProblem closure or a loop over Evaluate. Config.Workers
+// only sets how many executors share the shards, so the master-slave model
+// (Table III) is this engine at Workers > 1 and its trajectory equals the
+// serial one — exactly the survey's point that parallelising that model
+// does not change the algorithm.
 package core
 
 import (
@@ -62,10 +69,9 @@ type CloneIntoProblem[G any] interface {
 // LocalEvalProblem is the optional worker-locality extension of Problem:
 // LocalEvaluator returns an evaluation closure that owns private scratch
 // (a decode workspace, say) and is therefore only safe on one goroutine at
-// a time. Parallel executors — the sharded engine pipeline and
-// masterslave.PoolEvaluator — call it once per persistent worker, so the
-// hot path stops round-tripping scratches through a sync.Pool. Closures
-// must compute exactly what Evaluate computes.
+// a time. FuncProblem's BatchEvaluator falls back to it, so a problem with
+// a private-scratch scalar evaluator still gets one scratch per pipeline
+// executor. Closures must compute exactly what Evaluate computes.
 type LocalEvalProblem[G any] interface {
 	Problem[G]
 	LocalEvaluator() func(G) float64
@@ -204,110 +210,14 @@ type Operators[G any] struct {
 	Cross  Crossover[G]
 	Mutate Mutation[G]
 
-	// CrossInto, when set, is a factory for recycling crossover instances.
-	// It is a factory — not a bare CrossoverInto — because instances may
-	// keep private scratch (a JOX keep-mask, say); the engine calls it once
-	// per worker so the scratch is never shared between goroutines. Sharded
-	// steps route offspring through it to reuse the retired generation's
-	// genome storage, which is what drops steady-state crossover
-	// allocations to zero.
+	// CrossInto is a factory for recycling crossover instances. It is a
+	// factory — not a bare CrossoverInto — because instances may keep
+	// private scratch (a JOX keep-mask, say); the engine calls it once per
+	// executor so the scratch is never shared between goroutines. Steps
+	// route offspring through it to reuse the retired generation's genome
+	// storage, which is what drops steady-state crossover allocations to
+	// zero. When nil, New adapts Cross, which ignores the storage.
 	CrossInto func() CrossoverInto[G]
-}
-
-// Evaluator computes objective values for a batch of genomes. The serial
-// implementation is the default; the masterslave package provides parallel
-// and simulated-cluster evaluators (the survey's Table III model).
-type Evaluator[G any] interface {
-	// EvalAll fills out[i] with eval(genomes[i]) for every i.
-	EvalAll(genomes []G, eval func(G) float64, out []float64)
-}
-
-// LocalEvals caches worker-local evaluation closures for one engine (one
-// problem). It is also the identity token parallel evaluators key their
-// per-worker state on: the engine creates exactly one per run, so an
-// evaluator reused across engines sees a different *LocalEvals pointer and
-// rebuilds instead of silently evaluating through a stale closure's
-// scratch. Closure w is only ever handed to worker w, which preserves the
-// single-goroutine-at-a-time contract of LocalEvalProblem closures.
-type LocalEvals[G any] struct {
-	mu      sync.Mutex
-	factory func() func(G) float64
-	workers []func(G) float64
-}
-
-// NewLocalEvals builds a cache over a LocalEvalProblem-style factory.
-func NewLocalEvals[G any](factory func() func(G) float64) *LocalEvals[G] {
-	if factory == nil {
-		panic("core: NewLocalEvals with nil factory")
-	}
-	return &LocalEvals[G]{factory: factory}
-}
-
-// For returns worker w's evaluation closure, building it on first use.
-func (c *LocalEvals[G]) For(w int) func(G) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.workers) <= w {
-		c.workers = append(c.workers, nil)
-	}
-	if c.workers[w] == nil {
-		c.workers[w] = c.factory()
-	}
-	return c.workers[w]
-}
-
-// BatchEvals caches worker-local span-evaluation closures for one engine,
-// mirroring LocalEvals for the BatchEvalProblem seam: one closure (one
-// BatchScratch) per persistent worker, keyed on the cache's identity so an
-// evaluator reused across engines rebuilds instead of evaluating through a
-// stale closure.
-type BatchEvals[G any] struct {
-	mu      sync.Mutex
-	factory func() func([]G, []float64)
-	workers []func([]G, []float64)
-}
-
-// NewBatchEvals builds a cache over a BatchEvalProblem-style factory.
-func NewBatchEvals[G any](factory func() func([]G, []float64)) *BatchEvals[G] {
-	if factory == nil {
-		panic("core: NewBatchEvals with nil factory")
-	}
-	return &BatchEvals[G]{factory: factory}
-}
-
-// For returns worker w's span-evaluation closure, building it on first use.
-func (c *BatchEvals[G]) For(w int) func([]G, []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.workers) <= w {
-		c.workers = append(c.workers, nil)
-	}
-	if c.workers[w] == nil {
-		c.workers[w] = c.factory()
-	}
-	return c.workers[w]
-}
-
-// LocalBatchEvaluator is the optional Evaluator extension matching
-// LocalEvalProblem: EvalAllLocal receives, besides the shared eval
-// fallback, the run's LocalEvals cache, so a worker-pool evaluator can
-// hand each persistent worker its own closure (its own scratch) instead of
-// contending on a shared pool. The engine routes evaluation through this
-// method whenever both seams are present.
-type LocalBatchEvaluator[G any] interface {
-	Evaluator[G]
-	EvalAllLocal(genomes []G, eval func(G) float64, locals *LocalEvals[G], out []float64)
-}
-
-// BatchSpanEvaluator is the optional Evaluator extension matching
-// BatchEvalProblem: EvalAllBatches evaluates the population by handing each
-// persistent worker whole contiguous spans through its own span closure
-// from the run's BatchEvals cache, amortising one batch workspace across
-// every span the worker claims. It takes precedence over EvalAllLocal when
-// both seams are available; results must be identical either way.
-type BatchSpanEvaluator[G any] interface {
-	Evaluator[G]
-	EvalAllBatches(genomes []G, eval func(G) float64, batches *BatchEvals[G], out []float64)
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) on up to workers goroutines
@@ -345,22 +255,4 @@ func ParallelFor(n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// SerialEvaluator evaluates the population one genome at a time.
-type SerialEvaluator[G any] struct{}
-
-// EvalAll implements Evaluator.
-func (SerialEvaluator[G]) EvalAll(genomes []G, eval func(G) float64, out []float64) {
-	for i, g := range genomes {
-		out[i] = eval(g)
-	}
-}
-
-// EvalAllBatches implements BatchSpanEvaluator: the whole population is one
-// span for the single (serial) worker. Batch closures return exactly the
-// scalar objectives, so routing the serial engine through the batch path
-// never changes a trajectory — it only removes per-genome call overhead.
-func (SerialEvaluator[G]) EvalAllBatches(genomes []G, eval func(G) float64, batches *BatchEvals[G], out []float64) {
-	batches.For(0)(genomes, out)
 }

@@ -116,11 +116,12 @@ func trajectoryDigest(e *Engine[[]int], gens int) uint64 {
 }
 
 // TestEliteTrajectoriesPinned pins whole trajectories of tie-heavy runs
-// through every elite-selection caller — master-path elitism, sharded
-// elitism and immigration elites — for elite counts from 1 to Pop-1. The
-// digests were recorded with the full stable insertion sort the selection
-// replaced, so any change in which individuals are carried or displaced,
-// or in their order among ties, shows here.
+// through both elite-selection callers — elitism and immigration elites —
+// for elite counts from 1 to Pop-1 at several worker counts (which must
+// not matter). The elitism digests of elite-1, elite-3 and elite-half were
+// recorded with the full stable insertion sort the selection replaced, so
+// any change in which individuals are carried or displaced, or in their
+// order among ties, shows here.
 func TestEliteTrajectoriesPinned(t *testing.T) {
 	const pop, gens = 24, 40
 	imm := func(best float64) Immigration {
@@ -133,15 +134,16 @@ func TestEliteTrajectoriesPinned(t *testing.T) {
 		imm     Immigration
 		want    uint64
 	}{
-		{"master/elite-1", 1, 0, Immigration{}, 0xe5d5c5fd7687c55},
-		{"master/elite-2", 2, 0, Immigration{}, 0xa310dd246aeac9aa},
-		{"master/elite-half", pop / 2, 0, Immigration{}, 0x76e3433c6dfe56d2},
-		{"master/elite-all", pop - 1, 0, Immigration{}, 0xc2257f81e75e18e6},
+		{"sharded/elite-1", 1, 0, Immigration{}, 0x4193bc871d12a628},
 		{"sharded/elite-1", 1, 2, Immigration{}, 0x4193bc871d12a628},
+		{"sharded/elite-2", 2, 0, Immigration{}, 0xbfcac9ca85ae4faa},
 		{"sharded/elite-3", 3, 1, Immigration{}, 0x11d54b9e1e5f8109},
+		{"sharded/elite-half", pop / 2, 0, Immigration{}, 0x19f47e5e743b4043},
 		{"sharded/elite-half", pop / 2, 2, Immigration{}, 0x19f47e5e743b4043},
-		{"immigration/best-1", 1, 0, imm(0.05), 0x88a94a0ef2a689a5},
-		{"immigration/best-half", 1, 0, imm(0.5), 0x4c672b0ecbc42bb4},
+		{"sharded/elite-all", pop - 1, 0, Immigration{}, 0x19f47e5e743b4043},
+		{"immigration/best-1", 1, 0, imm(0.05), 0x976618c40fde050b},
+		{"immigration/best-half", 1, 0, imm(0.5), 0x49f10674e2bfcf30},
+		{"immigration/best-half", 1, 4, imm(0.5), 0x49f10674e2bfcf30},
 		{"immigration/best-all", 1, 2, Immigration{Enabled: true, BestFrac: 1}, 0xeba4b620ce593f25},
 	}
 	for _, c := range cases {
@@ -152,7 +154,7 @@ func TestEliteTrajectoriesPinned(t *testing.T) {
 		got := trajectoryDigest(e, gens)
 		e.Close()
 		if got != c.want {
-			t.Errorf("%s: trajectory digest %#x, want %#x", c.name, got, c.want)
+			t.Errorf("%s (workers %d): trajectory digest %#x, want %#x", c.name, c.workers, got, c.want)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func testResumeBitIdentical(t *testing.T, workers int) {
 	}
 }
 
-func TestEngineResumeBitIdenticalMasterPath(t *testing.T) {
+func TestEngineResumeBitIdenticalInline(t *testing.T) {
 	testResumeBitIdentical(t, 0)
 }
 
@@ -78,8 +78,8 @@ func TestEngineResumeBitIdenticalSharded(t *testing.T) {
 	testResumeBitIdentical(t, 3)
 }
 
-// A snapshot taken on a sharded engine restores into a sharded engine of a
-// DIFFERENT worker count: the shard decomposition depends only on Pop.
+// A snapshot restores into an engine of a DIFFERENT worker count, the
+// inline Workers 0 included: the shard decomposition depends only on Pop.
 func TestEngineResumeAcrossWorkerCounts(t *testing.T) {
 	mk := func(workers int) *Engine[[]int] {
 		return New(sortProblem(12), rng.New(5), Config[[]int]{
@@ -94,14 +94,16 @@ func TestEngineResumeAcrossWorkerCounts(t *testing.T) {
 	runTo(ref, 16)
 	want := popSignature(ref)
 
-	resumed := mk(4)
-	defer resumed.Close()
-	if err := resumed.Restore(snap); err != nil {
-		t.Fatalf("restore across worker counts: %v", err)
-	}
-	runTo(resumed, 16)
-	if got := popSignature(resumed); !reflect.DeepEqual(got, want) {
-		t.Fatal("worker-count change broke resumed trajectory")
+	for _, w := range []int{0, 4} {
+		resumed := mk(w)
+		if err := resumed.Restore(snap); err != nil {
+			t.Fatalf("restore at workers=%d: %v", w, err)
+		}
+		runTo(resumed, 16)
+		resumed.Close()
+		if got := popSignature(resumed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: worker-count change broke resumed trajectory", w)
+		}
 	}
 }
 
@@ -115,21 +117,19 @@ func TestEngineRestoreShapeMismatches(t *testing.T) {
 		t.Error("restore with mismatched population size accepted")
 	}
 
-	sharded := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps(), Workers: 2})
-	defer sharded.Close()
-	if err := sharded.Restore(snap); err == nil {
-		t.Error("master-path snapshot accepted by sharded engine")
+	noShards := snap
+	noShards.Shards = nil
+	if err := base.Restore(noShards); err == nil {
+		t.Error("snapshot without shard streams accepted")
 	}
 
-	shSnap := func() Snapshot[[]int] {
-		e := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps(), Workers: 2})
-		defer e.Close()
-		runTo(e, 2)
-		return e.Snapshot()
-	}()
-	master := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps()})
-	if err := master.Restore(shSnap); err == nil {
-		t.Error("sharded snapshot accepted by master-path engine")
+	wrongShards := snap
+	wrongShards.Shards = snap.Shards[:len(snap.Shards)-1]
+	if err := base.Restore(wrongShards); err == nil {
+		t.Error("snapshot with the wrong shard count accepted")
+	}
+	if len(snap.Shards) != ShardStreams(20) {
+		t.Errorf("snapshot carries %d shard streams, ShardStreams(20) = %d", len(snap.Shards), ShardStreams(20))
 	}
 
 	noBest := snap

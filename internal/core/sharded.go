@@ -7,47 +7,55 @@ import (
 	"repro/internal/rng"
 )
 
-// The sharded generation pipeline (Config.Workers > 0).
+// The generation pipeline: every Step of every engine runs here.
 //
-// The master-path Step serialises the entire variation phase — selection,
-// crossover, mutation, cloning — on one goroutine and, at best, fans out
-// only the fitness evaluation through an Evaluator. That is exactly the
-// master-slave bottleneck the parallel-GA literature works around by
-// batching whole sub-populations per device (Luo & El Baz's dual
-// heterogeneous island GA, arXiv:1903.10722) and by chunked rather than
-// per-task dispatch (Sun et al., arXiv:0809.3285).
-//
-// Here the next generation is partitioned into fixed-size shards of
-// shardSize children. Persistent workers claim whole shards from an atomic
-// cursor and run selection -> crossover -> mutation -> evaluation for
-// their shard end-to-end:
+// A master-slave GA that serialises the variation phase on one goroutine
+// and fans out only the fitness evaluation hits the bottleneck the
+// parallel-GA literature works around by batching whole sub-populations
+// per device (Luo & El Baz's dual heterogeneous island GA,
+// arXiv:1903.10722) and by chunked rather than per-task dispatch (Sun et
+// al., arXiv:0809.3285). So the next generation is partitioned into
+// fixed-size shards of shardSize children, and executors claim whole
+// shards from an atomic cursor and run selection -> crossover -> mutation
+// -> evaluation for their shard end-to-end:
 //
 //   - Randomness: shard s draws only from its own substream, derived once
 //     at New via rng.SplitN(shards). The decomposition and the substreams
 //     depend only on Pop, so results are bit-identical for ANY worker
-//     count, including 1 — the property TestShardedWorkerInvariance pins.
+//     count — the property TestShardedWorkerInvariance pins.
+//   - Executors: executor 0 is the calling goroutine; Workers > 1 adds
+//     Workers-1 persistent goroutines, Workers <= 1 spawns none and runs
+//     every shard inline.
+//   - Evaluation: each executor owns exactly one batch closure — the
+//     problem's BatchEvalProblem closure (private decode scratch), or a
+//     loop over Problem.Evaluate — and evaluates a whole shard per call
+//     (shardSize is the batch kernels' interleave width, so a full shard
+//     is exactly one lockstep tile). Evaluation draws no randomness, so
+//     the trajectory does not depend on which closure runs.
 //   - Memory: each shard owns the free list of retired genomes from its own
-//     slot range and each worker owns its evaluation closure (private
-//     decode scratch via the LocalEvalProblem seam, or a whole-shard batch
-//     closure via BatchEvalProblem) and its recycling crossover instance
-//     (private operator scratch via Operators.CrossInto),
-//     so the steady-state step performs no allocation and no sync.Pool
-//     round-trips, and every worker writes a contiguous span of the next
-//     generation (no false sharing on the population buffer).
+//     slot range and each executor owns its recycling crossover instance
+//     (Operators.CrossInto), so the steady-state step performs no
+//     allocation and no sync.Pool round-trips, and every executor writes a
+//     contiguous span of the next generation (no false sharing).
 //   - Dispatch: shardSize is a small constant, so a 64-individual
 //     population yields 16 shards — ~4 claims per worker at Workers=4 —
 //     which keeps the tail balanced when evaluation costs are skewed
 //     without per-genome cursor traffic.
 //
-// The previous population is read-only during a sharded step (selection
-// reads it from every worker), elitism/replacement and best-tracking stay
-// on the master between steps.
+// The previous population is read-only during a step (selection reads it
+// from every executor); immigration elites, elitism and best-tracking run
+// on the calling goroutine around the shards.
 
 // shardSize is the number of children per shard (two selection/crossover
 // pairs). It is a fixed constant — NOT derived from Workers — because the
 // shard count decides how the RNG substreams are laid out; tying it to the
 // worker count would break cross-worker-count determinism.
 const shardSize = 4
+
+// ShardStreams returns the number of shard substreams an engine of
+// population pop carries: the length of Snapshot.Shards. Checkpoint
+// decoders use it to refuse a snapshot whose stream layout cannot resume.
+func ShardStreams(pop int) int { return (pop + shardSize - 1) / shardSize }
 
 // shardRange is one shard's half-open slot range in the next generation.
 type shardRange struct{ lo, hi int }
@@ -60,71 +68,58 @@ type shardedState[G any] struct {
 	free    [][]G      // per-shard free list of retired genomes
 
 	// next is the generation buffer being filled, published to workers
-	// before they are woken each step.
-	next []Individual[G]
+	// before they are woken each step. Slots below nBest hold immigration
+	// elites and are left alone; slots in [nBest, crossEnd) are crossover
+	// offspring and slots from crossEnd on are random immigrants.
+	next            []Individual[G]
+	nBest, crossEnd int
 
 	cursor  atomic.Int64 // shard claim cursor, reset each step
 	wg      sync.WaitGroup
 	wake    []chan struct{} // one buffered wake channel per spawned worker
 	started bool
 
-	// Per-executor (0 = master, 1..workers-1 = goroutines) evaluation
-	// closures and recycling crossover instances; both may hold private
-	// scratch and are created once, at New.
-	evals []func(G) float64
+	// Per-executor batch-evaluation closures, recycling crossover
+	// instances and gather/result buffers (capacity shardSize); closures
+	// may hold private scratch and are created once, at New.
+	evals []func(genomes []G, out []float64)
 	cross []CrossoverInto[G]
-
-	// Per-executor batch-evaluation closures (BatchEvalProblem seam) plus
-	// their gather/result buffers, capacity shardSize. When batch[exec] is
-	// non-nil a shard's children are evaluated in one call after the
-	// variation loop — evaluation draws no randomness, so the reordering
-	// leaves the RNG substreams, and hence the trajectory, untouched.
-	batch []func(genomes []G, out []float64)
 	gbuf  [][]G
 	obuf  [][]float64
 }
 
-// newShardedState builds the shard decomposition, its RNG substreams and
-// the per-executor closures. It must be called after the initial
-// population is built so sharded and master-path runs share their
-// initialisation stream.
+// newShardedState builds the shard decomposition and the per-executor
+// closures. The substreams (rngs) are split off by New after the initial
+// population is evaluated through executor 0's closure.
 func newShardedState[G any](e *Engine[G], workers int) *shardedState[G] {
 	n := e.cfg.Pop
-	nShards := (n + shardSize - 1) / shardSize
-	if workers > nShards {
-		workers = nShards
-	}
+	nShards := ShardStreams(n)
+	workers = max(1, min(workers, nShards))
 	sh := &shardedState[G]{workers: workers}
 	sh.shards = make([]shardRange, nShards)
 	for s := range sh.shards {
 		lo := s * shardSize
-		hi := lo + shardSize
-		if hi > n {
-			hi = n
-		}
-		sh.shards[s] = shardRange{lo, hi}
+		sh.shards[s] = shardRange{lo, min(lo+shardSize, n)}
 	}
-	sh.rngs = e.rng.SplitN(nShards)
 	sh.free = make([][]G, nShards)
-	sh.evals = make([]func(G) float64, workers)
+	sh.evals = make([]func([]G, []float64), workers)
 	sh.cross = make([]CrossoverInto[G], workers)
-	sh.batch = make([]func([]G, []float64), workers)
 	sh.gbuf = make([][]G, workers)
 	sh.obuf = make([][]float64, workers)
+	bep, batched := e.prob.(BatchEvalProblem[G])
 	for k := range sh.evals {
-		if e.localEvals != nil {
-			sh.evals[k] = e.localEvals.For(k)
+		if batched {
+			sh.evals[k] = bep.BatchEvaluator()
 		} else {
-			sh.evals[k] = e.prob.Evaluate
+			sh.evals[k] = func(genomes []G, out []float64) {
+				for i, g := range genomes {
+					out[i] = e.prob.Evaluate(g)
+				}
+			}
 		}
-		if e.cfg.Ops.CrossInto != nil {
-			sh.cross[k] = e.cfg.Ops.CrossInto()
-		}
-		if e.batchEvals != nil {
-			sh.batch[k] = e.batchEvals.For(k)
-			sh.gbuf[k] = make([]G, 0, shardSize)
-			sh.obuf[k] = make([]float64, shardSize)
-		}
+		sh.cross[k] = e.cfg.Ops.CrossInto()
+		sh.gbuf[k] = make([]G, 0, shardSize)
+		sh.obuf[k] = make([]float64, shardSize)
 	}
 	return sh
 }
@@ -143,7 +138,7 @@ func take2[G any](free []G) (d1, d2 G, rest []G) {
 	return d1, d2, free
 }
 
-// startWorkers lazily spawns the persistent worker goroutines (the master
+// startWorkers lazily spawns the persistent worker goroutines (the caller
 // participates as executor 0, so Workers-1 goroutines are spawned). They
 // park on their wake channels between steps; Close releases them.
 func (e *Engine[G]) startWorkers() {
@@ -166,14 +161,15 @@ func (e *Engine[G]) startWorkers() {
 	sh.started = true
 }
 
-// Close releases the sharded pipeline's persistent worker goroutines. The
-// engine stays usable: the next Step respawns them. Close is a no-op on
-// master-path engines (Workers == 0), is idempotent, and must not be
-// called concurrently with Step. Callers that abandon a sharded engine
-// before Run returns should Close it; the solver's model adapters do.
+// Close releases the pipeline's persistent worker goroutines. The engine
+// stays usable: the next Step respawns them. Close is a no-op on engines
+// with Workers <= 1 (they spawn none), is idempotent, and must not be
+// called concurrently with Step. Callers that abandon a multi-worker
+// engine before Run returns should Close it; the solver's model adapters
+// do.
 func (e *Engine[G]) Close() {
 	sh := e.sharded
-	if sh == nil || !sh.started {
+	if !sh.started {
 		return
 	}
 	for _, ch := range sh.wake {
@@ -183,33 +179,21 @@ func (e *Engine[G]) Close() {
 	sh.started = false
 }
 
-// stepSharded is the Workers > 0 generation: harvest retired genome
-// storage into per-shard free lists, let the workers drain the shard
-// queue, then apply elitism and bookkeeping on the master.
-func (e *Engine[G]) stepSharded() {
+// runPipeline fills and evaluates next[nBest:]: harvest retired genome
+// storage into per-shard free lists, then let the executors drain the
+// shard queue.
+func (e *Engine[G]) runPipeline(next []Individual[G]) {
 	sh := e.sharded
-	e.gen++
-	n := e.cfg.Pop
-	next := e.spare
-	if cap(next) < n {
-		next = make([]Individual[G], n)
-	}
-	next = next[:n]
 	// Harvest the retired generation shard by shard: shard s recycles the
-	// genomes that previously lived in its own slot range, so the free
-	// lists need no cross-worker synchronisation.
-	if e.cloneInto != nil && len(e.spare) > 0 {
-		for s := range sh.shards {
-			f := sh.free[s][:0]
-			hi := sh.shards[s].hi
-			if hi > len(e.spare) {
-				hi = len(e.spare)
-			}
-			for i := sh.shards[s].lo; i < hi; i++ {
-				f = append(f, e.spare[i].Genome)
-			}
-			sh.free[s] = f
+	// genomes that previously lived in its own slot range (immigration
+	// elites already reused theirs), so the free lists need no
+	// cross-worker synchronisation.
+	for s, rg := range sh.shards {
+		f := sh.free[s][:0]
+		for i := max(rg.lo, sh.nBest); i < min(rg.hi, len(e.spare)); i++ {
+			f = append(f, e.spare[i].Genome)
 		}
+		sh.free[s] = f
 	}
 	sh.next = next
 	sh.cursor.Store(0)
@@ -224,15 +208,6 @@ func (e *Engine[G]) stepSharded() {
 	if sh.workers > 1 {
 		sh.wg.Wait()
 	}
-	e.evals += int64(n)
-
-	if e.cfg.Elite > 0 {
-		e.applyElitism(next)
-	}
-	e.spare = e.pop
-	e.pop = next
-	e.refreshBest()
-	e.record()
 }
 
 // runShards is one executor's claim loop: grab the next unclaimed shard
@@ -241,50 +216,40 @@ func (e *Engine[G]) stepSharded() {
 // evaluation costs across workers.
 func (e *Engine[G]) runShards(exec int) {
 	sh := e.sharded
-	eval := sh.evals[exec]
-	cross := sh.cross[exec]
 	nShards := int64(len(sh.shards))
 	for {
 		s := sh.cursor.Add(1) - 1
 		if s >= nShards {
 			return
 		}
-		e.runShard(int(s), exec, eval, cross)
+		e.runShard(int(s), exec)
 	}
 }
 
-// runShard produces and evaluates the children of shard s, writing them to
-// the shard's contiguous slot range of the next generation. With a batch
-// closure the variation loop only places genomes; the whole shard is then
-// decoded in one lockstep batch call (shardSize == the batch kernels'
-// interleave width, so a full shard is exactly one tile).
-func (e *Engine[G]) runShard(s, exec int, eval func(G) float64, cross CrossoverInto[G]) {
+// runShard produces the children of shard s in its slot range of the next
+// generation, then evaluates them with one call of the executor's batch
+// closure. Crossover slots take pairs; a pair straddling the end of the
+// crossover share keeps only its first child.
+func (e *Engine[G]) runShard(s, exec int) {
 	sh := e.sharded
 	rg := sh.shards[s]
 	r := sh.rngs[s]
 	free := sh.free[s]
-	batch := sh.batch[exec]
-	for i := rg.lo; i < rg.hi; i += 2 {
+	cross := sh.cross[exec]
+	always := e.cfg.Immigration.Enabled
+	lo := max(rg.lo, sh.nBest)
+	crossHi := min(rg.hi, sh.crossEnd)
+	for i := lo; i < crossHi; i += 2 {
 		i1 := e.cfg.Ops.Select(r, e.pop)
 		i2 := e.cfg.Ops.Select(r, e.pop)
 		p1, p2 := e.pop[i1].Genome, e.pop[i2].Genome
-		var c1, c2 G
-		if r.Bool(e.cfg.CrossoverRate) {
-			if cross != nil {
-				var d1, d2 G
-				d1, d2, free = take2(free)
-				c1, c2 = cross(r, p1, p2, d1, d2)
-			} else {
-				c1, c2 = e.cfg.Ops.Cross(r, p1, p2)
-			}
-		} else if e.cloneInto != nil {
-			var d1, d2 G
-			d1, d2, free = take2(free)
+		var d1, d2, c1, c2 G
+		d1, d2, free = take2(free)
+		if always || r.Bool(e.cfg.CrossoverRate) {
+			c1, c2 = cross(r, p1, p2, d1, d2)
+		} else {
 			c1 = e.cloneInto(d1, p1)
 			c2 = e.cloneInto(d2, p2)
-		} else {
-			c1 = e.prob.Clone(p1)
-			c2 = e.prob.Clone(p2)
 		}
 		if r.Bool(e.cfg.MutationRate) {
 			e.cfg.Ops.Mutate(r, c1)
@@ -292,28 +257,27 @@ func (e *Engine[G]) runShard(s, exec int, eval func(G) float64, cross CrossoverI
 		if r.Bool(e.cfg.MutationRate) {
 			e.cfg.Ops.Mutate(r, c2)
 		}
-		if batch != nil {
-			sh.next[i].Genome = c1
+		sh.next[i].Genome = c1
+		if i+1 < crossHi {
 			sh.next[i+1].Genome = c2
-			continue
 		}
-		o1 := eval(c1)
-		o2 := eval(c2)
-		sh.next[i] = Individual[G]{Genome: c1, Obj: o1, Fit: e.cfg.Fitness(o1)}
-		sh.next[i+1] = Individual[G]{Genome: c2, Obj: o2, Fit: e.cfg.Fitness(o2)}
+	}
+	for i := max(lo, crossHi); i < rg.hi; i++ {
+		sh.next[i].Genome = e.prob.Random(r)
 	}
 	sh.free[s] = free
-	if batch != nil {
-		g := sh.gbuf[exec][:0]
-		for i := rg.lo; i < rg.hi; i++ {
-			g = append(g, sh.next[i].Genome)
-		}
-		o := sh.obuf[exec][:rg.hi-rg.lo]
-		batch(g, o)
-		for k, i := 0, rg.lo; i < rg.hi; i, k = i+1, k+1 {
-			sh.next[i].Obj = o[k]
-			sh.next[i].Fit = e.cfg.Fitness(o[k])
-		}
-		sh.gbuf[exec] = g
+	if lo >= rg.hi {
+		return
 	}
+	g := sh.gbuf[exec][:0]
+	for i := lo; i < rg.hi; i++ {
+		g = append(g, sh.next[i].Genome)
+	}
+	o := sh.obuf[exec][:rg.hi-lo]
+	sh.evals[exec](g, o)
+	for k, i := 0, lo; i < rg.hi; i, k = i+1, k+1 {
+		sh.next[i].Obj = o[k]
+		sh.next[i].Fit = e.cfg.Fitness(o[k])
+	}
+	sh.gbuf[exec] = g
 }

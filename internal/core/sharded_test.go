@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
@@ -65,10 +66,11 @@ func runSharded(t *testing.T, workers, pop, gens int) (float64, int64, []int) {
 
 // TestShardedWorkerInvariance is the engine-level determinism contract:
 // the shard decomposition and its RNG substreams depend only on Pop, so
-// any worker count — 1 included — produces bit-identical results.
+// any worker count — the inline Workers 0 and 1 included — produces
+// bit-identical results.
 func TestShardedWorkerInvariance(t *testing.T) {
 	baseObj, baseEvals, baseGenome := runSharded(t, 1, 40, 30)
-	for _, w := range []int{2, 3, 8, 64} {
+	for _, w := range []int{0, 2, 3, 4, 8, 64} {
 		obj, evals, genome := runSharded(t, w, 40, 30)
 		if obj != baseObj || evals != baseEvals {
 			t.Errorf("workers=%d: (%v, %d) != workers=1 (%v, %d)", w, obj, evals, baseObj, baseEvals)
@@ -82,8 +84,8 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSharesInitialisation checks that a sharded engine and a
-// master-path engine with the same seed build the same initial population:
+// TestShardedSharesInitialisation checks that an inline engine and a
+// four-worker engine with the same seed build the same initial population:
 // the shard substreams are split off only after initialisation.
 func TestShardedSharesInitialisation(t *testing.T) {
 	p := shardedProblem(10)
@@ -99,29 +101,40 @@ func TestShardedSharesInitialisation(t *testing.T) {
 		ga, gb := a.Population()[i].Genome, b.Population()[i].Genome
 		for k := range ga {
 			if ga[k] != gb[k] {
-				t.Fatalf("initial individual %d differs between master-path and sharded engines", i)
+				t.Fatalf("initial individual %d differs between inline and four-worker engines", i)
 			}
 		}
 	}
 }
 
-// TestShardedImmigrationFallsBack: immigration-mode composition is a
-// master-path feature; a Workers > 0 engine with Immigration enabled must
-// still run it (and remain deterministic).
-func TestShardedImmigrationFallsBack(t *testing.T) {
-	mk := func() Result[[]int] {
+// TestShardedImmigrationWorkerInvariance: Huang et al.'s generation
+// composition runs in shard form — elites placed by the caller, crossover
+// offspring and random immigrants drawn from the shard substreams — so it
+// is bit-identical for any worker count, with fraction boundaries that cut
+// through shards and crossover pairs.
+func TestShardedImmigrationWorkerInvariance(t *testing.T) {
+	run := func(workers int) Result[[]int] {
 		eng := New(shardedProblem(8), rng.New(3), Config[[]int]{
-			Pop: 20, Workers: 4, Ops: shardedOps(),
-			Immigration: Immigration{Enabled: true, BestFrac: 0.2, CrossFrac: 0.6, RandomFrac: 0.2},
+			Pop: 22, Workers: workers, Ops: shardedOps(),
+			Immigration: Immigration{Enabled: true, BestFrac: 0.15, CrossFrac: 0.6, RandomFrac: 0.25},
 			Term:        Termination{MaxGenerations: 15},
 		})
 		defer eng.Close()
 		return eng.Run()
 	}
-	a, b := mk(), mk()
-	if a.Best.Obj != b.Best.Obj || a.Evaluations != b.Evaluations {
-		t.Errorf("immigration fallback not deterministic: (%v,%d) vs (%v,%d)",
-			a.Best.Obj, a.Evaluations, b.Best.Obj, b.Evaluations)
+	base := run(0)
+	for _, w := range []int{1, 4} {
+		got := run(w)
+		if got.Best.Obj != base.Best.Obj || got.Evaluations != base.Evaluations {
+			t.Errorf("workers=%d: (%v,%d) != workers=0 (%v,%d)",
+				w, got.Best.Obj, got.Evaluations, base.Best.Obj, base.Evaluations)
+		}
+		for i := range got.Best.Genome {
+			if got.Best.Genome[i] != base.Best.Genome[i] {
+				t.Errorf("workers=%d: best genome diverges at %d", w, i)
+				break
+			}
+		}
 	}
 }
 
@@ -184,26 +197,66 @@ func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedStepAllocs is the zero-alloc guard of the sharded pipeline:
-// once warm, a full sharded Step must stay within a small constant
-// allocation budget independent of the population size (the ISSUE-5
-// acceptance bound is <= 8 allocs/op).
+// TestShardedEvaluationSeam pins the engine's one evaluation seam: each
+// executor builds exactly one batch closure at New, the initial population
+// and every generation are evaluated through those closures only (never
+// the shared scalar Evaluate), and every evaluation the engine counts is
+// one genome a closure saw.
+func TestShardedEvaluationSeam(t *testing.T) {
+	for _, c := range []struct{ workers, executors int }{{0, 1}, {1, 1}, {4, 4}} {
+		var factories, genomes, scalar atomic.Int64
+		p := shardedProblem(10)
+		eval := p.EvaluateFn
+		p.EvaluateFn = func(g []int) float64 { scalar.Add(1); return eval(g) }
+		p.BatchEvalFn = func() func([][]int, []float64) {
+			factories.Add(1)
+			return func(gs [][]int, out []float64) {
+				genomes.Add(int64(len(gs)))
+				for i, g := range gs {
+					out[i] = eval(g)
+				}
+			}
+		}
+		e := New(p, rng.New(12), Config[[]int]{
+			Pop: 30, Workers: c.workers, Ops: shardedOps(),
+			Immigration: Immigration{Enabled: true, BestFrac: 0.1, CrossFrac: 0.7, RandomFrac: 0.2},
+			Term:        Termination{MaxGenerations: 12},
+		})
+		res := e.Run()
+		if got := factories.Load(); got != int64(c.executors) {
+			t.Errorf("workers=%d: %d batch closures built, want %d", c.workers, got, c.executors)
+		}
+		if got := scalar.Load(); got != 0 {
+			t.Errorf("workers=%d: engine called the shared Evaluate %d times", c.workers, got)
+		}
+		if got := genomes.Load(); got != res.Evaluations {
+			t.Errorf("workers=%d: batch closures saw %d genomes, engine counts %d evaluations", c.workers, got, res.Evaluations)
+		}
+	}
+}
+
+// TestShardedStepAllocs is the zero-alloc guard of the pipeline: once
+// warm, a full Step must stay within a small constant allocation budget
+// independent of the population size and the worker count (bound <= 8
+// allocs/op).
 func TestShardedStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, pop := range []int{64, 256} {
-		eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
-			Pop: pop, Workers: 4, Ops: shardedOps(),
-			Term: Termination{MaxGenerations: 1 << 30},
-		})
-		for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
-			eng.Step()
-		}
-		avg := testing.AllocsPerRun(50, eng.Step)
-		eng.Close()
-		if avg > 8 {
-			t.Errorf("Pop=%d: sharded Step allocates %.1f/op, want <= 8", pop, avg)
+	for _, workers := range []int{0, 4} {
+		for _, pop := range []int{64, 256} {
+			eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
+				Pop: pop, Workers: workers, Ops: shardedOps(),
+				Term: Termination{MaxGenerations: 1 << 30},
+			})
+			for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
+				eng.Step()
+			}
+			avg := testing.AllocsPerRun(50, eng.Step)
+			eng.Close()
+			if avg > 8 {
+				t.Errorf("Workers=%d Pop=%d: Step allocates %.1f/op, want <= 8", workers, pop, avg)
+			}
 		}
 	}
 }

@@ -51,6 +51,13 @@ func TestT3aShape(t *testing.T) {
 	if sp32 > sp8+1e-9 {
 		t.Errorf("no plateau: %v at 8 vs %v at 32 workers", sp8, sp32)
 	}
+	// The real pool runs the engine at Workers 1/2/4: every row must
+	// reproduce the inline (serial) trajectory.
+	for _, row := range T3aSpeedup()[1].Rows {
+		if row[2] != "true" {
+			t.Errorf("workers=%s: trajectory differs from serial", row[0])
+		}
+	}
 }
 
 func TestT3bShape(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/masterslave"
 	"repro/internal/rng"
 	"repro/internal/shop"
 	"repro/internal/shopga"
@@ -53,9 +52,9 @@ func T3aSpeedup() []*tables.Table {
 	t.Note("paper claims: Mui et al. [17] save 3-4x with 6 processors; Somani et al. [16] ~9x on GPU for large problems")
 	t.Note("dispatch overhead = cost/4 for expensive eval; cheap eval is dominated by dispatch, so slaves barely help")
 
-	// Real-concurrency sanity check: the pool evaluator is exercised on
-	// this host; on a single-core machine wall-clock speedup is ~1 by
-	// construction (see DESIGN.md substitutions).
+	// Real-concurrency sanity check: the engine's generation pipeline is
+	// run with real worker goroutines on this host; on a single-core
+	// machine wall-clock speedup is ~1 by construction.
 	real := &tables.Table{
 		ID:      "T3a",
 		Title:   "Real goroutine pool on this host (wall clock, informative only)",
@@ -64,17 +63,14 @@ func T3aSpeedup() []*tables.Table {
 	in := shop.GenerateJobShop("t3-js", 10, 8, 201, 202)
 	prob := shopga.JobShopProblem(in, shop.Makespan)
 	run := func(workers int) (time.Duration, float64) {
-		ev := &masterslave.PoolEvaluator[[]int]{Workers: workers}
-		defer ev.Close()
 		start := time.Now()
 		res := core.New(prob, rng.New(5), core.Config[[]int]{
-			Pop: 60, Ops: shopga.SeqOps(in),
-			Evaluator: ev,
-			Term:      core.Termination{MaxGenerations: 40},
+			Pop: 60, Ops: shopga.SeqOps(in), Workers: workers,
+			Term: core.Termination{MaxGenerations: 40},
 		}).Run()
 		return time.Since(start), res.Best.Obj
 	}
-	_, serialBest := run(1)
+	_, serialBest := run(0)
 	for _, w := range []int{1, 2, 4} {
 		d, best := run(w)
 		real.AddRow(w, d.Round(time.Millisecond).String(), best == serialBest)

@@ -285,6 +285,71 @@ func TestServerRestartColdOnBadCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServerRestartColdOnPreShardCheckpoint: checkpoints written before
+// every engine ran the shard pipeline carry no shard streams — a flat
+// serial checkpoint with none, an island checkpoint whose demes have none.
+// Either must downgrade to a cold start that finishes with the plain
+// deterministic run's Table I-valid result, never a panic or a silent
+// warm resume.
+func TestServerRestartColdOnPreShardCheckpoint(t *testing.T) {
+	flat := durableSpec(12)
+	flat.Model = "serial"
+	isl := solver.Spec{
+		Problem: solver.ProblemSpec{Instance: "ft06"},
+		Model:   "island",
+		Params:  solver.Params{Pop: 32, Islands: 4, Interval: 2, Migrants: 1},
+		Budget:  solver.Budget{Generations: 16},
+		Seed:    17,
+	}
+	cases := []struct {
+		name  string
+		spec  solver.Spec
+		every int
+		strip func(*solver.Checkpoint)
+	}{
+		{"flat", flat, 4, func(cp *solver.Checkpoint) { cp.Shards = nil }},
+		{"island-demes", isl, 4, func(cp *solver.Checkpoint) {
+			for d := range cp.Demes {
+				cp.Demes[d].Shards = nil
+			}
+		}},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, _ := midCheckpoint(t, tc.spec, tc.every)
+			tc.strip(cp)
+			id := fmt.Sprintf("j00009%d", i)
+			dir := t.TempDir()
+			seedRunningJob(t, openStore(t, dir), id, tc.spec, cp)
+
+			logs := &logBuf{}
+			_, c := newTestServer(t, serve.Config{Store: openStore(t, dir), Logf: logs.Logf})
+			final, err := c.Await(testCtx(t), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != solver.JobDone || final.Result == nil {
+				t.Fatalf("final %+v", final)
+			}
+			if !logs.contains("shard streams") || !logs.contains("restarted job "+id+" cold") {
+				t.Errorf("cold-start downgrade not logged: %q", logs.all())
+			}
+			want, err := solver.Solve(context.Background(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Schedule.Validate(); err != nil {
+				t.Fatalf("cold run schedule infeasible: %v", err)
+			}
+			got := final.Result
+			if got.BestObjective != want.BestObjective || got.Evaluations != want.Evaluations {
+				t.Errorf("cold restart (best %v, evals %d), want the plain run (best %v, evals %d)",
+					got.BestObjective, got.Evaluations, want.BestObjective, want.Evaluations)
+			}
+		})
+	}
+}
+
 // TestServerRestartColdWithoutCheckpoint: a running record with no
 // checkpoint at all (crash before the first snapshot) restarts cold.
 func TestServerRestartColdWithoutCheckpoint(t *testing.T) {

@@ -37,32 +37,25 @@ func isMakespan(obj shop.Objective) bool {
 
 // scratches is a pool of decode workspaces pre-sized for one instance. All
 // Problem evaluation closures below draw from such a pool, which makes them
-// safe under every parallel evaluator (master-slave pools, islands,
-// cellular partitions) while keeping the steady-state hot path
-// allocation-free.
+// safe under every concurrent caller (island, cellular and agent
+// goroutines) while keeping steady-state evaluation allocation-free.
 func scratches(in *shop.Instance) *sync.Pool {
 	return &sync.Pool{New: func() interface{} { return decode.NewScratch(in) }}
 }
 
-// pooledEval wraps a scratch-parameterised evaluation into the two
-// evaluation seams every Problem below exposes: the shared EvaluateFn
-// (round-trips a sync.Pool scratch per call — safe anywhere) and the
-// LocalEvalFn factory (one private scratch per closure — what the sharded
-// engine pipeline and masterslave.PoolEvaluator hand to each persistent
-// worker, removing the pool round-trips from the hot path).
-func pooledEval[G any](in *shop.Instance, evalWith func(G, *decode.Scratch) float64) (func(G) float64, func() func(G) float64) {
+// pooledEval wraps a scratch-parameterised evaluation into the shared
+// EvaluateFn every Problem below exposes: it round-trips a sync.Pool
+// scratch per call, so it is safe anywhere. The engine's hot path does not
+// use it — each pipeline executor evaluates through its own BatchEvalFn
+// closure and private scratch.
+func pooledEval[G any](in *shop.Instance, evalWith func(G, *decode.Scratch) float64) func(G) float64 {
 	pool := scratches(in)
-	eval := func(g G) float64 {
+	return func(g G) float64 {
 		s := pool.Get().(*decode.Scratch)
 		v := evalWith(g, s)
 		pool.Put(s)
 		return v
 	}
-	local := func() func(G) float64 {
-		s := decode.NewScratch(in)
-		return func(g G) float64 { return evalWith(g, s) }
-	}
-	return eval, local
 }
 
 // batchEval builds the BatchEvalFn factory of the problems below: each
@@ -113,13 +106,12 @@ func FlowShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] 
 			b.FlowShopMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomPermutation(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -146,13 +138,12 @@ func JobShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] {
 			b.JobShopMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -187,13 +178,12 @@ func OpenShopProblem(in *shop.Instance, rule decode.OpenRule, obj shop.Objective
 			b.OpenShopMakespans(gs, rule, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -215,7 +205,7 @@ func GTProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]float64] {
 			b.GifflerThompsonMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]float64]{
 		RandomFn: func(r *rng.RNG) []float64 {
 			g := make([]float64, total)
@@ -227,7 +217,6 @@ func GTProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]float64] {
 		EvaluateFn:  eval,
 		CloneFn:     cloneKeys,
 		CloneIntoFn: cloneKeysInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -280,7 +269,7 @@ func FlexibleProblem(in *shop.Instance, obj shop.Objective) core.Problem[FlexGen
 			}
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[FlexGenome]{
 		RandomFn: func(r *rng.RNG) FlexGenome {
 			return FlexGenome{
@@ -291,7 +280,6 @@ func FlexibleProblem(in *shop.Instance, obj shop.Objective) core.Problem[FlexGen
 		EvaluateFn:  eval,
 		CloneFn:     CloneFlex,
 		CloneIntoFn: CloneFlexInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchFn,
 	}
 }
@@ -320,13 +308,12 @@ func FixedAssignmentProblem(in *shop.Instance, assign []int, obj shop.Objective)
 			}
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchFn,
 	}
 }

@@ -27,7 +27,7 @@ type Genome struct {
 // Checkpoint is a resumable snapshot of a run (see SupportsCheckpoint).
 // Engine-driven models (serial, ms) fill the flat section: the full
 // population with its objectives, the incumbent, the loop counters, and
-// every RNG stream state. Epoch-structured models (island, hybrid) leave
+// every RNG stream state, the shard substreams included. Epoch-structured models (island, hybrid) leave
 // the flat population empty and fill Demes instead — one DemeState per
 // island/grid — plus the Epoch counter and the model-level RNG stream.
 // Resuming from either layout is bit-identical to never having stopped:
@@ -55,7 +55,10 @@ type Checkpoint struct {
 	// RNG is the engine stream (serial, ms) or the island model's
 	// model-level stream (migrant selection, replacement, topology draws).
 	// Hybrid runs have no model-level stream and leave it at its zero
-	// value, which is never fed back to an RNG.
+	// value, which is never fed back to an RNG. Shards are the engine's
+	// per-shard generation substreams (serial, ms), core.ShardStreams of
+	// the population of them; a flat checkpoint without them cannot
+	// resume.
 	RNG    rng.State   `json:"rng"`
 	Shards []rng.State `json:"shards,omitempty"`
 
@@ -75,17 +78,19 @@ type Checkpoint struct {
 
 // DemeState is one deme's slice of an epoch-structured checkpoint: the
 // deme's population with objectives, its incumbent, its counters, and its
-// randomness — an engine RNG stream for island demes, a derivation seed
-// for hybrid grids (the cellular model's entire randomness is one seed).
-// Exactly one of RNG and Seed is meaningful per model.
+// randomness — an engine RNG stream plus its per-shard generation
+// substreams for island demes, a derivation seed for hybrid grids (the
+// cellular model's entire randomness is one seed). Exactly one of RNG
+// (with Shards) and Seed is meaningful per model.
 type DemeState struct {
 	Pop           []Genome  `json:"pop"`
 	Objs          []float64 `json:"objs"`
 	Best          *Genome   `json:"best"`
 	BestObjective float64   `json:"best_objective"`
 
-	RNG  *rng.State `json:"rng,omitempty"`
-	Seed uint64     `json:"seed,omitempty"`
+	RNG    *rng.State  `json:"rng,omitempty"`
+	Shards []rng.State `json:"shards,omitempty"`
+	Seed   uint64      `json:"seed,omitempty"`
 
 	Generation  int   `json:"generation"`
 	Evaluations int64 `json:"evaluations"`
@@ -287,6 +292,9 @@ func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snap
 	if cp.Generation < 0 || cp.Evaluations < 0 {
 		return snap, fmt.Errorf("solver: checkpoint counters out of range")
 	}
+	if err := checkShards(cp.Shards, len(cp.Pop)); err != nil {
+		return snap, fmt.Errorf("solver: checkpoint %w", err)
+	}
 	snap.Pop = make([]core.Individual[G], len(cp.Pop))
 	for i := range cp.Pop {
 		g, err := enc.unpack(cp.Pop[i])
@@ -313,6 +321,16 @@ func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snap
 	snap.RNG = cp.RNG
 	snap.Shards = cp.Shards
 	return snap, nil
+}
+
+// checkShards checks that an engine checkpoint carries the shard
+// substreams an engine of population pop resumes from. Checkpoints written
+// before every engine ran the shard pipeline carry none.
+func checkShards(shards []rng.State, pop int) error {
+	if want := core.ShardStreams(pop); len(shards) != want {
+		return fmt.Errorf("has %d shard streams, population %d needs %d", len(shards), pop, want)
+	}
+	return nil
 }
 
 // packDeme converts one deme's population and incumbent into the wire
@@ -403,6 +421,7 @@ func packIslandCheckpoint[G any](run *Run, enc encoding[G], snap island.Snapshot
 		ds := packDeme(enc, es.Pop, es.Best)
 		r := es.RNG
 		ds.RNG = &r
+		ds.Shards = es.Shards
 		ds.Generation = es.Generation
 		ds.Evaluations = es.Evaluations
 		ds.Stagnation = es.Stagnation
@@ -431,6 +450,9 @@ func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (isl
 			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d has no RNG stream", d)
 		}
 		pop, best, err := unpackDeme(enc, ds)
+		if err == nil {
+			err = checkShards(ds.Shards, len(pop))
+		}
 		if err != nil {
 			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d: %w", d, err)
 		}
@@ -442,6 +464,7 @@ func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (isl
 		es.Evaluations = ds.Evaluations
 		es.Stagnation = ds.Stagnation
 		es.RNG = *ds.RNG
+		es.Shards = ds.Shards
 		snap.Demes = append(snap.Demes, es)
 		demeSum += ds.Evaluations
 	}

@@ -213,6 +213,8 @@ func TestCheckpointIslandValidation(t *testing.T) {
 	corrupt("deme objs mismatched", func(cp *Checkpoint) { cp.Demes[0].Objs = cp.Demes[0].Objs[:1] })
 	corrupt("deme incumbent missing", func(cp *Checkpoint) { cp.Demes[0].Best = nil })
 	corrupt("deme RNG missing", func(cp *Checkpoint) { cp.Demes[0].RNG = nil })
+	corrupt("deme shards missing", func(cp *Checkpoint) { cp.Demes[1].Shards = nil })
+	corrupt("deme shard count", func(cp *Checkpoint) { cp.Demes[0].Shards = cp.Demes[0].Shards[1:] })
 	corrupt("deme gene out of range", func(cp *Checkpoint) { cp.Demes[0].Pop[0].Seq[0] = 99 })
 	corrupt("deme NaN objective", func(cp *Checkpoint) { cp.Demes[0].Objs[0] = math.NaN() })
 	corrupt("negative epoch", func(cp *Checkpoint) { cp.Epoch = -1 })
@@ -275,6 +277,8 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	corrupt("out-of-range gene", func(cp *Checkpoint) { cp.Pop[0].Seq[0] = 99 })
 	corrupt("foreign field", func(cp *Checkpoint) { cp.Pop[0].Keys = []float64{0.5} })
 	corrupt("truncated genome", func(cp *Checkpoint) { cp.Pop[0].Seq = cp.Pop[0].Seq[:3] })
+	corrupt("no shard streams", func(cp *Checkpoint) { cp.Shards = nil })
+	corrupt("wrong shard count", func(cp *Checkpoint) { cp.Shards = append(cp.Shards, cp.Shards[0]) })
 
 	// Population size mismatch vs spec.Params.Pop surfaces via the
 	// engine's Restore shape check.

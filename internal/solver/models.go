@@ -243,19 +243,20 @@ func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 	return coreResult(enc, res), nil
 }
 
-// runSerial is the panmictic Table II GA.
+// runSerial is the panmictic Table II GA: the engine's generation pipeline
+// run inline on the solver goroutine (Workers 0).
 func runSerial[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, error) {
 	return runEngine(run, enc, 0)
 }
 
-// runMasterSlave is Table III evolved into the engine's sharded generation
-// pipeline: persistent workers each own contiguous shards of the next
-// generation and run selection → crossover → mutation → evaluation for
-// them end-to-end, drawing from per-shard RNG substreams. The survey's
+// runMasterSlave is Table III as the engine's generation pipeline with
+// worker goroutines: persistent workers each own contiguous shards of the
+// next generation and run selection → crossover → mutation → evaluation
+// for them end-to-end, drawing from per-shard RNG substreams. The survey's
 // defining Table III property — parallelisation does not change the
-// algorithm — survives in its modern form: the trajectory is bit-identical
-// for ANY workers value, 1 included (TestMasterSlaveWorkerInvariance), it
-// just no longer coincides with the serial model's master-path trajectory.
+// algorithm — holds exactly: the trajectory is bit-identical for ANY
+// workers value and equal to serial's (TestMasterSlaveWorkerInvariance,
+// TestSerialEqualsMasterSlave).
 func runMasterSlave[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, error) {
 	workers := run.Spec.Params.Workers
 	if workers <= 0 {

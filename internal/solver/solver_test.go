@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -112,6 +113,47 @@ func TestMasterSlaveWorkerInvariance(t *testing.T) {
 	if a.BestObjective != b.BestObjective || a.Evaluations != b.Evaluations {
 		t.Errorf("ms workers=8 (%v, %d) != workers=1 (%v, %d)",
 			b.BestObjective, b.Evaluations, a.BestObjective, a.Evaluations)
+	}
+}
+
+// TestSerialEqualsMasterSlave: serial runs the engine's generation
+// pipeline inline and ms runs it on worker goroutines, so one Spec solved
+// under either model, at any worker count, returns the same best
+// objective, evaluation count and schedule — for every engine encoding.
+func TestSerialEqualsMasterSlave(t *testing.T) {
+	cases := []struct{ kind, enc string }{
+		{"job", EncSeq},
+		{"job", EncKeys},
+		{"fjs", EncFlex},
+	}
+	for _, tc := range cases {
+		t.Run(tc.enc, func(t *testing.T) {
+			solve := func(model string, workers int) *Result {
+				spec := smallSpec(model)
+				spec.Problem.Kind = tc.kind
+				spec.Encoding = tc.enc
+				spec.Params.Workers = workers
+				res, err := Solve(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", model, workers, err)
+				}
+				return res
+			}
+			serial := solve("serial", 0)
+			if err := serial.Schedule.Validate(); err != nil {
+				t.Fatalf("serial schedule infeasible: %v", err)
+			}
+			for _, w := range []int{1, 2, 4} {
+				ms := solve("ms", w)
+				if ms.BestObjective != serial.BestObjective || ms.Evaluations != serial.Evaluations {
+					t.Errorf("ms workers=%d (%v, %d) != serial (%v, %d)",
+						w, ms.BestObjective, ms.Evaluations, serial.BestObjective, serial.Evaluations)
+				}
+				if !reflect.DeepEqual(ms.Schedule.Ops, serial.Schedule.Ops) {
+					t.Errorf("ms workers=%d: schedule differs from serial", w)
+				}
+			}
+		})
 	}
 }
 
