@@ -105,11 +105,11 @@ func BenchmarkAblationIslandStepping(b *testing.B) {
 func BenchmarkAblationConstructive(b *testing.B) {
 	in := shop.GenerateFlowShop("abl-neh", 20, 5, 107)
 	r := rng.New(7)
-	buf := make([]int, in.NumMachines)
+	s := decode.NewScratch(in)
 	b.Run("random-decode", func(b *testing.B) {
 		perm := decode.RandomPermutation(in, r)
 		for i := 0; i < b.N; i++ {
-			_ = decode.FlowShopMakespan(in, perm, buf)
+			_ = decode.FlowShopMakespan(in, perm, s)
 		}
 	})
 	b.Run("neh", func(b *testing.B) {

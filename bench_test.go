@@ -179,10 +179,10 @@ func BenchmarkDecode(b *testing.B) {
 
 	fs := shop.GenerateFlowShop("bench-fs", 20, 5, 911)
 	perm := decode.RandomPermutation(fs, r)
-	buf := make([]int, fs.NumMachines)
+	s := decode.NewScratch(fs)
 	b.Run("flowshop-20x5", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = decode.FlowShopMakespan(fs, perm, buf)
+			_ = decode.FlowShopMakespan(fs, perm, s)
 		}
 	})
 

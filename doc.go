@@ -61,14 +61,16 @@
 // rebinding broadcast fleet-wide so barriers wait for it again.
 //
 // Evaluation — the hot path of every parallel model — is a three-rung
-// ladder in internal/decode: schedule-building oracle decoders (reference
-// semantics, final results), allocation-free makespan kernels decoding
-// into a reusable Scratch workspace, and batch kernels (BatchScratch) that
-// decode whole slices of genomes in 4-wide lockstep — hiding the scalar
-// decoder's completion-time dependency chain behind neighbouring genomes'
+// ladder in internal/decode over one decoding loop per environment:
+// schedule-building decoders for final results (the loop on a fresh
+// Scratch), allocation-free makespan kernels decoding into a reusable
+// Scratch workspace, and batch kernels (BatchScratch) that decode whole
+// slices of genomes in 4-wide lockstep — hiding the scalar decoder's
+// completion-time dependency chain behind neighbouring genomes'
 // arithmetic, with precomputed flat operation tables and scalar fallback
-// for the irregular kinds. Property and fuzz tests pin each rung to the
-// one below bit for bit, and BENCH_hotpath.json records the measured gaps.
+// for the irregular kinds. Property and fuzz tests pin every rung bit for
+// bit to reference decoders kept only as test oracles, and
+// BENCH_hotpath.json records the measured gaps.
 // Problems expose the batch rung through the core.BatchEvalProblem seam.
 // Above the kernels sits one generation pipeline: every core.Engine Step
 // cuts the next generation into shards of 4 children, each drawing from

@@ -1,11 +1,11 @@
 package repro
 
-// BenchmarkHotPath tracks the zero-allocation evaluation pipeline against
-// the schedule-building oracle decoders, pairing each environment's
-// "schedule" path (materialise a shop.Schedule, then take its objective)
-// with its "kernel" path (decode into a reusable Scratch, return the
-// objective directly). The measured baseline is recorded in
-// BENCH_hotpath.json; regenerate it with
+// BenchmarkHotPath tracks the zero-allocation evaluation pipeline, pairing
+// each environment's "schedule" path (the exported schedule-building
+// decoder: the kernel on a fresh Scratch, materialising a shop.Schedule,
+// then taking its objective) with its "kernel" path (decode into a reused
+// Scratch, return the objective directly). The measured baseline is
+// recorded in BENCH_hotpath.json; regenerate it with
 //
 //	go test -run='^$' -bench=BenchmarkHotPath -benchtime=1s .
 //
@@ -73,7 +73,7 @@ func BenchmarkHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = decode.FlowShopMakespanWith(fs, perm, s)
+			_ = decode.FlowShopMakespan(fs, perm, s)
 		}
 	})
 	fsPerms := make([][]int, batchN)
@@ -343,7 +343,7 @@ func TestBatchKernelSpeedup(t *testing.T) {
 		{"flowshop-20x5", 1.2,
 			func() {
 				for i := 0; i < iters; i++ {
-					sink += decode.FlowShopMakespanWith(fs, perms[i%batchN], sf)
+					sink += decode.FlowShopMakespan(fs, perms[i%batchN], sf)
 				}
 			},
 			func() {
@@ -386,11 +386,12 @@ func TestBatchKernelSpeedup(t *testing.T) {
 }
 
 // TestHotPathKernelSpeedup is a coarse ratchet for the acceptance criterion
-// that the kernels beat the schedule-building path by >= 2x on the job shop
-// instances (measured margin is ~4-5x). Wall-clock measurement is noisy on
-// shared or race-instrumented hosts, so the guard skips under -short and
-// -race; CI runs it as a non-blocking informational step, and the full
-// local gate (go test ./...) enforces it.
+// that the kernels beat the schedule-building path (the kernel on a fresh
+// Scratch plus the schedule) by >= 2x on the job shop instances (measured
+// margin is ~4-5x). Wall-clock measurement is noisy on shared or
+// race-instrumented hosts, so the guard skips under -short and -race; CI
+// runs it as a non-blocking informational step, and the full local gate
+// (go test ./...) enforces it.
 func TestHotPathKernelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short mode")

@@ -6,24 +6,25 @@ import (
 	"repro/internal/shop"
 )
 
-// This file holds the batch (struct-of-arrays) evaluation layer: the third
-// rung of the evaluation ladder after the schedule-building oracles and the
-// per-genome Scratch kernels. The GPU follow-up works to the survey (Luo &
-// El Baz, arXiv:1903.10722 and 1903.10741) evaluate whole populations per
-// kernel launch over shared precomputed instance tables; the CPU analogue
-// below decodes an entire shard of genomes per call over flat operation
-// tables, so the instance data is laid out once — densely, in int32 — and
-// stays cache-resident across the whole sweep instead of being re-derived
-// through Jobs[j].Ops[k].Times[0] pointer chains for every operation of
-// every genome.
+// This file holds the batch (struct-of-arrays) evaluation layer: the rung
+// of the evaluation ladder above the per-genome Scratch kernels, which also
+// build every schedule (kernels.go). The GPU follow-up works to the survey
+// (Luo & El Baz, arXiv:1903.10722 and 1903.10741) evaluate whole
+// populations per kernel launch over shared precomputed instance tables;
+// the CPU analogue below decodes an entire shard of genomes per call over
+// flat operation tables, so the instance data is laid out once — densely,
+// in int32 — and stays cache-resident across the whole sweep instead of
+// being re-derived through Jobs[j].Ops[k].Times[0] pointer chains for
+// every operation of every genome.
 //
 // The regular-dependency kernels (flow shop's completion-row recurrence and
 // the job shop's token decode) get true flat-table batch sweeps; the
 // decoders whose inner loop is a data-dependent scan (Giffler-Thompson,
 // open shop dispatch, flexible assignment) fall back to the scalar kernels
 // behind the same batch interface. batch_test.go pins every batch method
-// bit-identical to its scalar kernel — which is itself oracle-pinned to the
-// schedule path — across all shop kinds and batch sizes 1..257.
+// bit-identical to its scalar kernel — which is itself pinned to the
+// reference decoders of oracle_test.go — across all shop kinds and batch
+// sizes 1..257, and FuzzKernelsMatchOracles holds all three to the oracles.
 
 // batchW is the interleave width of the batch kernels: they decode batchW
 // genomes in lockstep, advancing all of them one sequence position at a
@@ -34,9 +35,9 @@ import (
 // completion. The per-slot state rows are struct-of-arrays — slot t owns
 // rows [t*n, (t+1)*n) / [t*m, (t+1)*m) — the same layout a SIMD/GPU
 // lockstep sweep would use, per the survey's thread-block-per-individual
-// designs. Remainder genomes (batch size not a multiple of batchW), groups
-// with mixed sequence lengths, and irregular instances fall back to the
-// scalar kernels: bit-identical results, unbatched speed.
+// designs. Remainder genomes (batch size not a multiple of batchW) and
+// groups with mixed sequence lengths fall back to the scalar kernels:
+// bit-identical results, unbatched speed.
 const batchW = 4
 
 // BatchScratch is a reusable workspace for batch evaluation of genome
@@ -57,7 +58,6 @@ type BatchScratch struct {
 	// 8 bytes instead of two 24-byte slice headers per op); wide guards
 	// the narrowing.
 	off     []int // n+1 flattened op offsets
-	opsPer  []int // ops of job j (off[j+1]-off[j], kept for branch-light checks)
 	dur     []int32
 	mach    []int32
 	release []int // per-job release dates
@@ -69,11 +69,6 @@ type BatchScratch struct {
 	// sweeps then fall back to the scalar kernels (identical results,
 	// unbatched speed).
 	wide bool
-
-	// regular is set when every job has exactly m operations (so the flat
-	// op id of (job, stage) is j*m+stage); the flow-shop lockstep sweep
-	// requires it, since all interleaved jobs advance stage-for-stage.
-	regular bool
 
 	// Per-slot state rows, flat [batchW x n] and [batchW x m]. The
 	// completion arithmetic stays int so batch results are bit-identical
@@ -95,7 +90,6 @@ func NewBatchScratch(in *shop.Instance) *BatchScratch {
 	b := &BatchScratch{
 		in: in, n: n, m: m,
 		off:      make([]int, n+1),
-		opsPer:   make([]int, n),
 		dur:      make([]int32, total),
 		mach:     make([]int32, total),
 		release:  make([]int, n),
@@ -107,7 +101,6 @@ func NewBatchScratch(in *shop.Instance) *BatchScratch {
 	id := 0
 	for j, job := range in.Jobs {
 		b.off[j] = id
-		b.opsPer[j] = len(job.Ops)
 		b.release[j] = job.Release
 		for k := range job.Ops {
 			op := &job.Ops[k]
@@ -121,13 +114,6 @@ func NewBatchScratch(in *shop.Instance) *BatchScratch {
 		}
 	}
 	b.off[n] = id
-	b.regular = true
-	for j := 0; j < n; j++ {
-		if b.opsPer[j] != m {
-			b.regular = false
-			break
-		}
-	}
 	if in.Setup != nil {
 		b.setup = make([]int32, m*n*n)
 		b.lastJob = make([]int, batchW*m)
@@ -160,11 +146,11 @@ func quadLen(a, b, c, d []int) bool {
 
 // FlowShopMakespans fills out[i] with the flow-shop makespan of perms[i],
 // bit-identical to FlowShopMakespan on each permutation. Groups of batchW
-// equal-length permutations on a regular instance run the lockstep sweep;
-// everything else falls back to the scalar kernel per genome.
+// equal-length permutations run the lockstep sweep; everything else falls
+// back to the scalar kernel per genome.
 func (b *BatchScratch) FlowShopMakespans(perms [][]int, out []float64) {
 	i := 0
-	if !b.wide && b.regular {
+	if !b.wide {
 		for ; i+batchW <= len(perms); i += batchW {
 			q := perms[i : i+batchW]
 			if !quadLen(q[0], q[1], q[2], q[3]) {
@@ -174,7 +160,7 @@ func (b *BatchScratch) FlowShopMakespans(perms [][]int, out []float64) {
 		}
 	}
 	for ; i < len(perms); i++ {
-		out[i] = float64(FlowShopMakespanWith(b.in, perms[i], b.scalar))
+		out[i] = float64(FlowShopMakespan(b.in, perms[i], b.scalar))
 	}
 }
 
@@ -193,9 +179,9 @@ func (b *BatchScratch) flowShopQuad(p0, p1, p2, p3 []int, out []float64) {
 	dur, rel := b.dur, b.release
 	for p := 0; p < len(p0); p++ {
 		j0, j1, j2, j3 := p0[p], p1[p], p2[p], p3[p]
-		// Per-slot duration rows are contiguous (regular instance: op id of
-		// (j, s) is j*m+s), so each slot streams its own row while the four
-		// completion chains overlap.
+		// Per-slot duration rows are contiguous (every flow-shop job has one
+		// operation per machine, so the op id of (j, s) is j*m+s), and each
+		// slot streams its own row while the four completion chains overlap.
 		d0 := dur[j0*m : j0*m+m]
 		d1 := dur[j1*m : j1*m+m]
 		d2 := dur[j2*m : j2*m+m]
@@ -227,14 +213,10 @@ func (b *BatchScratch) flowShopQuad(p0, p1, p2, p3 []int, out []float64) {
 			row[3] = v3
 		}
 	}
-	for t := 0; t < batchW; t++ {
-		max := 0
-		for s := 0; s < m; s++ {
-			if v := c[s*batchW+t]; v > max {
-				max = v
-			}
-		}
-		out[t] = float64(max)
+	// Completions rise along a job's stages, so the last stage's row holds
+	// each slot's makespan.
+	for t, v := range c[(m-1)*batchW:] {
+		out[t] = float64(v)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // The batch layer must be bit-identical to the scalar kernels (which are
-// themselves oracle-pinned to the schedule builders in kernels_test.go) for
+// themselves pinned to the reference decoders of oracle_test.go) for
 // every genome, every shop kind, and every batch size — including ragged
 // final tiles. Each property test reuses one BatchScratch across all batch
 // sizes and trials so stale-state bugs (a slot's rows not reset between
@@ -70,7 +70,7 @@ func TestBatchFlowShopMatchesKernel(t *testing.T) {
 		for _, size := range batchSizes {
 			b.FlowShopMakespans(perms[:size], out[:size])
 			for i := 0; i < size; i++ {
-				if want := float64(FlowShopMakespanWith(in, perms[i], s)); out[i] != want {
+				if want := float64(FlowShopMakespan(in, perms[i], s)); out[i] != want {
 					t.Fatalf("%s size %d genome %d: batch %v, kernel %v", name, size, i, out[i], want)
 				}
 			}
@@ -218,7 +218,7 @@ func checkBatchAgainstKernel(t *testing.T, r *rng.RNG, js, fs *shop.Instance) {
 		}
 		bf.FlowShopMakespans(perms[:size], out[:size])
 		for i := 0; i < size; i++ {
-			if want := float64(FlowShopMakespanWith(fs, perms[i], sf)); out[i] != want {
+			if want := float64(FlowShopMakespan(fs, perms[i], sf)); out[i] != want {
 				t.Fatalf("%s size %d genome %d: batch %v, kernel %v", fs.Name, size, i, out[i], want)
 			}
 		}

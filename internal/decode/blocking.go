@@ -17,35 +17,7 @@ import (
 // orientation deadlocks — the standard GA treatment that lets selection
 // drive infeasible individuals out of the population.
 func Blocking(in *shop.Instance, seq []int) (int, bool) {
-	s := JobShop(in, seq) // fixes machine orders semi-actively
-	orders := MachineOrders(s)
-	g, dur, release, off := buildConjunctive(in)
-	// Locate each op's job successor: succ[id] = id+1 within the job, -1 at
-	// the job's last operation.
-	total := in.TotalOps()
-	succ := make([]int, total)
-	for j, job := range in.Jobs {
-		for k := range job.Ops {
-			id := off[j] + k
-			if k+1 < len(job.Ops) {
-				succ[id] = id + 1
-			} else {
-				succ[id] = -1
-			}
-		}
-	}
-	for _, order := range orders {
-		for i := 1; i < len(order); i++ {
-			a, b := order[i-1], order[i]
-			if sa := succ[a]; sa >= 0 {
-				// b may start only once a's job has left the machine, i.e.
-				// when a's job successor starts.
-				g.AddArc(sa, b, 0)
-			} else {
-				g.AddArc(a, b, dur[a])
-			}
-		}
-	}
+	g, dur, release, _ := blockingGraph(in, seq)
 	ms, _, err := g.Makespan(release, dur)
 	if err != nil {
 		penalty := 0
@@ -61,36 +33,12 @@ func Blocking(in *shop.Instance, seq []int) (int, bool) {
 // the longest-path evaluation) for feasible sequences; the second result is
 // false when the orientation deadlocks.
 func BlockingSchedule(in *shop.Instance, seq []int) (*shop.Schedule, bool) {
-	s := JobShop(in, seq)
-	orders := MachineOrders(s)
-	g, dur, release, off := buildConjunctive(in)
-	total := in.TotalOps()
-	succ := make([]int, total)
-	for j, job := range in.Jobs {
-		for k := range job.Ops {
-			id := off[j] + k
-			if k+1 < len(job.Ops) {
-				succ[id] = id + 1
-			} else {
-				succ[id] = -1
-			}
-		}
-	}
-	for _, order := range orders {
-		for i := 1; i < len(order); i++ {
-			a, b := order[i-1], order[i]
-			if sa := succ[a]; sa >= 0 {
-				g.AddArc(sa, b, 0)
-			} else {
-				g.AddArc(a, b, dur[a])
-			}
-		}
-	}
+	g, _, release, off := blockingGraph(in, seq)
 	start, err := g.LongestPath(release)
 	if err != nil {
 		return nil, false
 	}
-	out := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, total)}
+	out := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
 	for j, job := range in.Jobs {
 		for k, op := range job.Ops {
 			id := off[j] + k
@@ -103,4 +51,31 @@ func BlockingSchedule(in *shop.Instance, seq []int) (*shop.Schedule, bool) {
 	return out, true
 }
 
-var _ = dgraph.ErrCycle // documented dependency
+// blockingGraph builds the alternative graph shared by Blocking and
+// BlockingSchedule: the conjunctive job arcs plus, for each consecutive
+// pair a->b in the machine orders that the semi-active decoding of seq
+// fixes, a blocking arc from a's job successor to b (b may start only once
+// a's job has left the machine) or, at a job's last operation, the plain
+// machine arc of weight p(a).
+func blockingGraph(in *shop.Instance, seq []int) (g *dgraph.Graph, dur, release, off []int) {
+	orders := MachineOrders(JobShop(in, seq))
+	g, dur, release, off = buildConjunctive(in)
+	// An operation's job successor is id+1 unless it is its job's last.
+	last := make([]bool, in.TotalOps())
+	for j := range in.Jobs {
+		if end := off[j+1]; end > off[j] {
+			last[end-1] = true
+		}
+	}
+	for _, order := range orders {
+		for i := 1; i < len(order); i++ {
+			a, b := order[i-1], order[i]
+			if !last[a] {
+				g.AddArc(a+1, b, 0)
+			} else {
+				g.AddArc(a, b, dur[a])
+			}
+		}
+	}
+	return g, dur, release, off
+}

@@ -58,7 +58,7 @@ func NEH(in *shop.Instance) ([]int, int) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return in.Jobs[order[a]].TotalTime() > in.Jobs[order[b]].TotalTime()
 	})
-	buf := make([]int, in.NumMachines)
+	s := NewScratch(in)
 	seq := make([]int, 0, n)
 	trial := make([]int, 0, n)
 	for _, j := range order {
@@ -68,12 +68,12 @@ func NEH(in *shop.Instance) ([]int, int) {
 			trial = append(trial, seq[:pos]...)
 			trial = append(trial, j)
 			trial = append(trial, seq[pos:]...)
-			ms := FlowShopMakespan(in, trial, buf)
+			ms := FlowShopMakespan(in, trial, s)
 			if bestMS < 0 || ms < bestMS {
 				bestPos, bestMS = pos, ms
 			}
 		}
 		seq = append(seq[:bestPos], append([]int{j}, seq[bestPos:]...)...)
 	}
-	return seq, FlowShopMakespan(in, seq, buf)
+	return seq, FlowShopMakespan(in, seq, s)
 }

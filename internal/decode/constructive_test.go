@@ -24,10 +24,10 @@ func TestJohnsonOptimalBruteForce(t *testing.T) {
 		best := 1 << 30
 		perm := make([]int, 7)
 		var walk func(used uint, depth int)
-		buf := make([]int, 2)
+		s := NewScratch(in)
 		walk = func(used uint, depth int) {
 			if depth == 7 {
-				if ms := FlowShopMakespan(in, perm, buf); ms < best {
+				if ms := FlowShopMakespan(in, perm, s); ms < best {
 					best = ms
 				}
 				return
@@ -125,7 +125,7 @@ func TestGAReachesJohnsonOptimum(t *testing.T) {
 	// the same machinery the engine wraps, but inline to avoid an import
 	// cycle with shopga.
 	best := 1 << 30
-	buf := make([]int, 2)
+	s := NewScratch(in)
 	pop := make([][]int, 40)
 	for i := range pop {
 		pop[i] = RandomPermutation(in, r)
@@ -134,16 +134,16 @@ func TestGAReachesJohnsonOptimum(t *testing.T) {
 		for i := range pop {
 			// Tournament of 2, swap-mutate a clone of the winner.
 			a, b := pop[r.Intn(len(pop))], pop[r.Intn(len(pop))]
-			if FlowShopMakespan(in, b, buf) < FlowShopMakespan(in, a, buf) {
+			if FlowShopMakespan(in, b, s) < FlowShopMakespan(in, a, s) {
 				a = b
 			}
 			child := append([]int(nil), a...)
 			x, y := r.Intn(len(child)), r.Intn(len(child))
 			child[x], child[y] = child[y], child[x]
-			if FlowShopMakespan(in, child, buf) <= FlowShopMakespan(in, pop[i], buf) {
+			if FlowShopMakespan(in, child, s) <= FlowShopMakespan(in, pop[i], s) {
 				pop[i] = child
 			}
-			if ms := FlowShopMakespan(in, pop[i], buf); ms < best {
+			if ms := FlowShopMakespan(in, pop[i], s); ms < best {
 				best = ms
 			}
 		}

@@ -109,7 +109,7 @@ func TestFlowShopAgainstKnownValue(t *testing.T) {
 		},
 	}
 	// Order (1,0): M0: j1 [0,1), j0 [1,4); M1: j1 [1,5), j0 [5,7) -> 7.
-	s := FlowShop(in, []int{1, 0})
+	s := flowShopOracle(in, []int{1, 0})
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestFlowShopFastMatchesSchedule(t *testing.T) {
 	in := shop.GenerateFlowShop("f", 12, 6, 4242)
 	shop.WithReleases(in, 30, 4243)
 	r := rng.New(5)
-	buf := make([]int, in.NumMachines)
+	sc := NewScratch(in)
 	for i := 0; i < 50; i++ {
 		perm := RandomPermutation(in, r)
-		s := FlowShop(in, perm)
+		s := flowShopOracle(in, perm)
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := FlowShopMakespan(in, perm, buf), s.Makespan(); got != want {
+		if got, want := FlowShopMakespan(in, perm, sc), s.Makespan(); got != want {
 			t.Fatalf("fast %d != schedule %d for %v", got, want, perm)
 		}
 	}
@@ -152,7 +152,7 @@ func TestJobShopValidatesAndMatchesGraph(t *testing.T) {
 	for _, in := range instances {
 		for i := 0; i < 30; i++ {
 			seq := RandomOpSequence(in, r)
-			s := JobShop(in, seq)
+			s := jobShopOracle(in, seq)
 			if err := s.Validate(); err != nil {
 				t.Fatalf("%s: %v", in.Name, err)
 			}
@@ -176,7 +176,7 @@ func TestJobShopWithReleasesAndSetups(t *testing.T) {
 	shop.WithSetupTimes(in, 1, 6, 44)
 	r := rng.New(7)
 	for i := 0; i < 20; i++ {
-		s := JobShop(in, RandomOpSequence(in, r))
+		s := jobShopOracle(in, RandomOpSequence(in, r))
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestJobShopToleratesExcessTokens(t *testing.T) {
 	in := shop.FT06()
 	seq := RandomOpSequence(in, rng.New(8))
 	seq = append(seq, 0, 1, 2) // junk tail must be ignored
-	s := JobShop(in, seq)
+	s := jobShopOracle(in, seq)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestGifflerThompsonActiveAndValid(t *testing.T) {
 		for k := range pri {
 			pri[k] = r.Float64()
 		}
-		s := GifflerThompson(in, pri)
+		s := gtOracle(in, pri)
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +249,8 @@ func TestGifflerThompsonDeterministic(t *testing.T) {
 	for i := range pri {
 		pri[i] = float64(i%7) * 0.1
 	}
-	a := GifflerThompson(in, pri)
-	b := GifflerThompson(in, pri)
+	a := gtOracle(in, pri)
+	b := gtOracle(in, pri)
 	if a.Makespan() != b.Makespan() {
 		t.Fatal("G&T not deterministic")
 	}
@@ -261,7 +261,7 @@ func TestOpenShopRules(t *testing.T) {
 	r := rng.New(11)
 	for _, rule := range []OpenRule{EarliestStart, LPTTask, LPTMachine} {
 		for i := 0; i < 15; i++ {
-			s := OpenShop(in, RandomOpSequence(in, r), rule)
+			s := openShopOracle(in, RandomOpSequence(in, r), rule)
 			if err := s.Validate(); err != nil {
 				t.Fatalf("%v: %v", rule, err)
 			}
@@ -285,7 +285,7 @@ func TestOpenShopLPTTaskPicksLongest(t *testing.T) {
 			{Machines: []int{1}, Times: []int{9}},
 		}, Weight: 1}},
 	}
-	s := OpenShop(in, []int{0, 0}, LPTTask)
+	s := openShopOracle(in, []int{0, 0}, LPTTask)
 	if s.Ops[0].Machine != 1 {
 		t.Fatalf("LPT-Task scheduled machine %d first", s.Ops[0].Machine)
 	}
@@ -298,7 +298,7 @@ func TestFlexibleDecoder(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		assign := RandomAssignment(in, r)
 		seq := RandomOpSequence(in, r)
-		s := Flexible(in, assign, seq, nil)
+		s := flexibleOracle(in, assign, seq, nil)
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestFlexibleDecoder(t *testing.T) {
 	for i := range assign {
 		assign[i] += 1000
 	}
-	s := Flexible(in, assign, RandomOpSequence(in, r), nil)
+	s := flexibleOracle(in, assign, RandomOpSequence(in, r), nil)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("wrapped assignment: %v", err)
 	}
@@ -322,18 +322,18 @@ func TestFlexibleWithSpeeds(t *testing.T) {
 	for i := range speeds {
 		speeds[i] = r.Intn(2)
 	}
-	s := Flexible(in, RandomAssignment(in, r), RandomOpSequence(in, r), speeds)
+	s := flexibleOracle(in, RandomAssignment(in, r), RandomOpSequence(in, r), speeds)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	fast := Flexible(in, RandomAssignment(in, r), RandomOpSequence(in, r), func() []int {
+	fast := flexibleOracle(in, RandomAssignment(in, r), RandomOpSequence(in, r), func() []int {
 		all := make([]int, in.TotalOps())
 		for i := range all {
 			all[i] = 1
 		}
 		return all
 	}())
-	slow := Flexible(in, RandomAssignment(in, r), RandomOpSequence(in, r), make([]int, in.TotalOps()))
+	slow := flexibleOracle(in, RandomAssignment(in, r), RandomOpSequence(in, r), make([]int, in.TotalOps()))
 	if fast.Energy() <= slow.Energy() {
 		t.Errorf("speed 2 should cost more energy: fast=%v slow=%v", fast.Energy(), slow.Energy())
 	}
@@ -401,7 +401,7 @@ func TestBlockingNeverBelowUnconstrained(t *testing.T) {
 	r := rng.New(14)
 	for i := 0; i < 40; i++ {
 		seq := RandomOpSequence(in, r)
-		plain := JobShop(in, seq).Makespan()
+		plain := jobShopOracle(in, seq).Makespan()
 		bms, ok := Blocking(in, seq)
 		if ok && bms < plain {
 			t.Fatalf("blocking makespan %d < unconstrained %d", bms, plain)

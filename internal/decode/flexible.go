@@ -7,67 +7,10 @@ import "repro/internal/shop"
 // into range so crossover never produces an illegal assignment), seq is the
 // operation sequence over job indices, and speeds, when non-nil, chooses a
 // speed level per operation for energy-aware instances. Sequence-dependent
-// setup times are honoured as detached setups.
+// setup times are honoured as detached setups. It is FlexibleInto on a
+// fresh Scratch, so the caller owns the schedule.
 func Flexible(in *shop.Instance, assign, seq []int, speeds []int) *shop.Schedule {
-	off := OpOffsets(in)
-	n := len(in.Jobs)
-	nextOp := make([]int, n)
-	jobReady := make([]int, n)
-	for j := range jobReady {
-		jobReady[j] = in.Jobs[j].Release
-	}
-	machFree := make([]int, in.NumMachines)
-	lastJob := make([]int, in.NumMachines)
-	for i := range lastJob {
-		lastJob[i] = -1
-	}
-	s := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
-	for _, j := range seq {
-		k := nextOp[j]
-		if k >= len(in.Jobs[j].Ops) {
-			continue
-		}
-		op := &in.Jobs[j].Ops[k]
-		id := off[j] + k
-		mi := 0
-		if id < len(assign) {
-			mi = assign[id] % len(op.Machines)
-			if mi < 0 {
-				mi += len(op.Machines)
-			}
-		}
-		m := op.Machines[mi]
-		p := op.Times[mi]
-		speed := 0
-		if speeds != nil && id < len(speeds) && len(in.SpeedLevels) > 0 {
-			speed = speeds[id] % len(in.SpeedLevels)
-			if speed < 0 {
-				speed += len(in.SpeedLevels)
-			}
-			p = shop.ScaledDuration(p, in.SpeedLevels[speed])
-		}
-		setup := 0
-		if in.Setup != nil {
-			prev := lastJob[m]
-			if prev < 0 {
-				prev = j
-			}
-			setup = in.SetupTime(m, prev, j)
-		}
-		start := jobReady[j]
-		if t := machFree[m] + setup; t > start {
-			start = t
-		}
-		end := start + p
-		s.Ops = append(s.Ops, shop.Assignment{
-			Job: j, Op: k, Machine: m, Start: start, End: end, Speed: speed,
-		})
-		jobReady[j] = end
-		machFree[m] = end
-		lastJob[m] = j
-		nextOp[j] = k + 1
-	}
-	return s
+	return FlexibleInto(in, assign, seq, speeds, nil)
 }
 
 // ExpandSublots rewrites a lot-streaming instance (BatchSize set, operation

@@ -7,60 +7,8 @@ import "repro/internal/shop"
 //
 //	C(perm[0..i], m) = max(C(perm[0..i-1], m), C(perm[0..i], m-1)) + p(i, m)
 //
-// honouring job release dates on the first machine.
+// honouring job release dates on the first machine. It is FlowShopInto on a
+// fresh Scratch, so the caller owns the schedule.
 func FlowShop(in *shop.Instance, perm []int) *shop.Schedule {
-	m := in.NumMachines
-	machFree := make([]int, m)
-	s := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
-	for _, j := range perm {
-		ready := in.Jobs[j].Release
-		for stage, op := range in.Jobs[j].Ops {
-			mi := op.Machines[0]
-			start := ready
-			if machFree[mi] > start {
-				start = machFree[mi]
-			}
-			end := start + op.Times[0]
-			s.Ops = append(s.Ops, shop.Assignment{
-				Job: j, Op: stage, Machine: mi, Start: start, End: end,
-			})
-			machFree[mi] = end
-			ready = end
-		}
-	}
-	return s
-}
-
-// FlowShopMakespan computes the makespan of a permutation without building a
-// schedule, reusing buf (len >= NumMachines) when provided. This is the hot
-// path of flow shop fitness evaluation.
-func FlowShopMakespan(in *shop.Instance, perm []int, buf []int) int {
-	m := in.NumMachines
-	if cap(buf) < m {
-		buf = make([]int, m)
-	}
-	c := buf[:m]
-	for i := range c {
-		c[i] = 0
-	}
-	for _, j := range perm {
-		job := &in.Jobs[j]
-		prev := job.Release
-		for stage := range job.Ops {
-			op := &job.Ops[stage]
-			start := prev
-			if c[stage] > start {
-				start = c[stage]
-			}
-			c[stage] = start + op.Times[0]
-			prev = c[stage]
-		}
-	}
-	max := 0
-	for _, v := range c {
-		if v > max {
-			max = v
-		}
-	}
-	return max
+	return FlowShopInto(in, perm, nil)
 }

@@ -12,48 +12,10 @@ import (
 // j schedules job j's i-th operation as early as its machine and job
 // predecessors allow. Sequence-dependent setups, when present, are honoured
 // with detached setups (the machine performs the setup as soon as it is
-// free, possibly before the job arrives).
+// free, possibly before the job arrives). It is JobShopInto on a fresh
+// Scratch, so the caller owns the schedule.
 func JobShop(in *shop.Instance, seq []int) *shop.Schedule {
-	n := len(in.Jobs)
-	nextOp := make([]int, n)
-	jobReady := make([]int, n)
-	for j := range jobReady {
-		jobReady[j] = in.Jobs[j].Release
-	}
-	machFree := make([]int, in.NumMachines)
-	lastJob := make([]int, in.NumMachines)
-	for i := range lastJob {
-		lastJob[i] = -1
-	}
-	s := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
-	for _, j := range seq {
-		k := nextOp[j]
-		if k >= len(in.Jobs[j].Ops) {
-			continue // tolerate over-long sequences; Repair should prevent this
-		}
-		op := &in.Jobs[j].Ops[k]
-		m := op.Machines[0]
-		p := op.Times[0]
-		setup := 0
-		if in.Setup != nil {
-			prev := lastJob[m]
-			if prev < 0 {
-				prev = j // initial setup
-			}
-			setup = in.SetupTime(m, prev, j)
-		}
-		start := jobReady[j]
-		if t := machFree[m] + setup; t > start {
-			start = t
-		}
-		end := start + p
-		s.Ops = append(s.Ops, shop.Assignment{Job: j, Op: k, Machine: m, Start: start, End: end})
-		jobReady[j] = end
-		machFree[m] = end
-		lastJob[m] = j
-		nextOp[j] = k + 1
-	}
-	return s
+	return JobShopInto(in, seq, nil)
 }
 
 // MachineOrders extracts the processing order of jobs' operations on each
@@ -123,8 +85,9 @@ func buildConjunctive(in *shop.Instance) (g *dgraph.Graph, dur, release []int, o
 // graph: the sequence is first decoded semi-actively to fix the machine
 // orders, then the makespan is recomputed as the longest path of the
 // oriented graph (Somani & Singh's topological-sort evaluation [16]).
-// For valid sequences it returns the same makespan as JobShop, which the
-// tests exploit as a cross-validation oracle.
+// For valid sequences it returns the same makespan as JobShop; the tests
+// hold the longest path to the reference decoder's makespan as a second,
+// graph-based oracle.
 func JobShopGraph(in *shop.Instance, seq []int) (int, error) {
 	s := JobShop(in, seq)
 	orders := MachineOrders(s)
@@ -144,73 +107,8 @@ func JobShopGraph(in *shop.Instance, seq []int) (int, error) {
 // machine, and pick the member with the highest priority. priority is
 // indexed by flattened operation ID; ties break toward the lower job index,
 // keeping the decoder deterministic. Mui et al. [17] and Lin et al. [21]
-// build their GA operators on exactly this active-schedule builder.
+// build their GA operators on exactly this active-schedule builder. It is
+// GifflerThompsonInto on a fresh Scratch, so the caller owns the schedule.
 func GifflerThompson(in *shop.Instance, priority []float64) *shop.Schedule {
-	off := OpOffsets(in)
-	n := len(in.Jobs)
-	nextOp := make([]int, n)
-	jobReady := make([]int, n)
-	for j := range jobReady {
-		jobReady[j] = in.Jobs[j].Release
-	}
-	machFree := make([]int, in.NumMachines)
-	s := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
-	remaining := in.TotalOps()
-	for remaining > 0 {
-		// Find the candidate operation with minimal earliest completion time.
-		bestJob, bestECT, bestM := -1, 0, -1
-		for j := 0; j < n; j++ {
-			k := nextOp[j]
-			if k >= len(in.Jobs[j].Ops) {
-				continue
-			}
-			op := &in.Jobs[j].Ops[k]
-			m := op.Machines[0]
-			est := jobReady[j]
-			if machFree[m] > est {
-				est = machFree[m]
-			}
-			ect := est + op.Times[0]
-			if bestJob < 0 || ect < bestECT {
-				bestJob, bestECT, bestM = j, ect, m
-			}
-		}
-		// Conflict set: candidates on bestM that could start before bestECT.
-		chosen := -1
-		var chosenPri float64
-		for j := 0; j < n; j++ {
-			k := nextOp[j]
-			if k >= len(in.Jobs[j].Ops) {
-				continue
-			}
-			op := &in.Jobs[j].Ops[k]
-			if op.Machines[0] != bestM {
-				continue
-			}
-			est := jobReady[j]
-			if machFree[bestM] > est {
-				est = machFree[bestM]
-			}
-			if est >= bestECT {
-				continue
-			}
-			pri := priority[off[j]+k]
-			if chosen < 0 || pri > chosenPri {
-				chosen, chosenPri = j, pri
-			}
-		}
-		k := nextOp[chosen]
-		op := &in.Jobs[chosen].Ops[k]
-		start := jobReady[chosen]
-		if machFree[bestM] > start {
-			start = machFree[bestM]
-		}
-		end := start + op.Times[0]
-		s.Ops = append(s.Ops, shop.Assignment{Job: chosen, Op: k, Machine: bestM, Start: start, End: end})
-		jobReady[chosen] = end
-		machFree[bestM] = end
-		nextOp[chosen] = k + 1
-		remaining--
-	}
-	return s
+	return GifflerThompsonInto(in, priority, nil)
 }

@@ -2,15 +2,18 @@ package decode
 
 import "repro/internal/shop"
 
-// This file holds the allocation-free evaluation hot path. The GPU follow-up
-// works to the survey (Luo et al., arXiv:1903.10722 and 1903.10741) obtain
-// their speedups by making the fitness kernel allocation-free and
-// batch-friendly; the kernels below are the CPU equivalent: they decode a
-// genome into caller-owned buffers and return the objective without
-// materialising a shop.Schedule. The schedule-building decoders in
-// jobshop.go, flowshop.go, openshop.go and flexible.go are kept untouched as
-// the oracle; kernels_test.go asserts bit-identical objectives across seeded
-// random genomes.
+// This file holds the one decoding loop of each machine environment. The
+// GPU follow-up works to the survey (Luo et al., arXiv:1903.10722 and
+// 1903.10741) obtain their speedups by making the fitness kernel
+// allocation-free and batch-friendly; the loops below are the CPU
+// equivalent. Each *Decode function decodes a genome into the buffers of a
+// caller-owned Scratch and returns the makespan, appending every
+// assignment to a schedule only when one is passed. The makespan kernels
+// pass none, the *Into decoders pass the Scratch's reusable schedule, and
+// the schedule-building decoders (JobShop, FlowShop, GifflerThompson,
+// OpenShop, Flexible) are *Into calls on a fresh Scratch. The reference
+// loops these replaced live on as test oracles (oracle_test.go), and the
+// property and fuzz tests pin every kernel to them bit for bit.
 
 // Scratch is a reusable workspace for the makespan kernels and the
 // schedule-reusing *Into decoders. A Scratch is not safe for concurrent use;
@@ -26,7 +29,6 @@ type Scratch struct {
 	machLoad []int
 	done     []bool
 	off      []int
-	row      []int
 	candMach []int
 	candDur  []int
 
@@ -49,7 +51,6 @@ func NewScratch(in *shop.Instance) *Scratch {
 		machLoad: make([]int, in.NumMachines),
 		done:     make([]bool, total),
 		off:      make([]int, n+1),
-		row:      make([]int, in.NumMachines),
 		candMach: make([]int, n),
 		candDur:  make([]int, n),
 		sched:    shop.Schedule{Ops: make([]shop.Assignment, 0, total)},
@@ -123,10 +124,11 @@ func (s *Scratch) schedule(in *shop.Instance) *shop.Schedule {
 	return &s.sched
 }
 
-// scratchOrNew tolerates a nil scratch for one-off calls.
-func scratchOrNew(in *shop.Instance, s *Scratch) *Scratch {
+// scratchOrNew tolerates a nil scratch for one-off calls: a fresh zero
+// Scratch, which grows only the buffers the call uses.
+func scratchOrNew(s *Scratch) *Scratch {
 	if s == nil {
-		return NewScratch(in)
+		return &Scratch{}
 	}
 	return s
 }
@@ -141,7 +143,7 @@ func jobShopDecode(in *shop.Instance, seq []int, s *Scratch, out *shop.Schedule)
 	for _, j := range seq {
 		k := s.nextOp[j]
 		if k >= len(in.Jobs[j].Ops) {
-			continue // tolerate over-long sequences, like the oracle
+			continue // skip tokens beyond the job's operations (over-long sequences)
 		}
 		op := &in.Jobs[j].Ops[k]
 		m := op.Machines[0]
@@ -177,50 +179,62 @@ func jobShopDecode(in *shop.Instance, seq []int, s *Scratch, out *shop.Schedule)
 // including detached sequence-dependent setups, but tracks only the running
 // maximum completion time. s may be nil for a one-off call.
 func JobShopMakespan(in *shop.Instance, seq []int, s *Scratch) int {
-	return jobShopDecode(in, seq, scratchOrNew(in, s), nil)
+	return jobShopDecode(in, seq, scratchOrNew(s), nil)
 }
 
 // JobShopInto decodes like JobShop but reuses s's buffers and schedule,
 // allocating nothing once s is warm. The returned schedule is owned by s and
 // is valid until s's next use; callers that keep it must copy it first.
 func JobShopInto(in *shop.Instance, seq []int, s *Scratch) *shop.Schedule {
-	s = scratchOrNew(in, s)
+	s = scratchOrNew(s)
 	out := s.schedule(in)
 	jobShopDecode(in, seq, s, out)
 	return out
 }
 
-// FlowShopMakespanWith is FlowShopMakespan drawing its completion row from
-// the shared Scratch workspace, so one pooled Scratch serves every kernel.
-func FlowShopMakespanWith(in *shop.Instance, perm []int, s *Scratch) int {
-	s = scratchOrNew(in, s)
-	s.row = growInts(s.row, in.NumMachines)
-	return FlowShopMakespan(in, perm, s.row)
+// flowShopDecode runs the completion-time recurrence shared by the
+// makespan kernel and the Into decoder over the machine-free row,
+// appending assignments to out when non-nil, and returns the makespan.
+// Stage k is machine k: Instance.Validate rejects flow shops that route a
+// job any other way.
+func flowShopDecode(in *shop.Instance, perm []int, s *Scratch, out *shop.Schedule) int {
+	s.machState(in, false)
+	c := s.machFree
+	for _, j := range perm {
+		job := &in.Jobs[j]
+		prev := job.Release
+		for k := range job.Ops {
+			prev = max(prev, c[k]) + job.Ops[k].Times[0]
+			c[k] = prev
+		}
+		if out != nil {
+			// c holds this job's completion at every stage. Emitting after
+			// the recurrence keeps the makespan kernel's inner loop free of
+			// the schedule branch.
+			for k := range job.Ops {
+				end := c[k]
+				out.Ops = append(out.Ops, shop.Assignment{Job: j, Op: k, Machine: k, Start: end - job.Ops[k].Times[0], End: end})
+			}
+		}
+	}
+	// Completions rise along a job's stages, so the last stage holds the
+	// makespan.
+	return c[len(c)-1]
+}
+
+// FlowShopMakespan is the allocation-free counterpart of
+// FlowShop(in, perm).Makespan(), the hot path of flow shop fitness
+// evaluation. s may be nil for a one-off call.
+func FlowShopMakespan(in *shop.Instance, perm []int, s *Scratch) int {
+	return flowShopDecode(in, perm, scratchOrNew(s), nil)
 }
 
 // FlowShopInto decodes like FlowShop but reuses s's buffers and schedule.
 // The returned schedule is valid until s's next use.
 func FlowShopInto(in *shop.Instance, perm []int, s *Scratch) *shop.Schedule {
-	s = scratchOrNew(in, s)
-	s.machState(in, false)
+	s = scratchOrNew(s)
 	out := s.schedule(in)
-	for _, j := range perm {
-		ready := in.Jobs[j].Release
-		for stage := range in.Jobs[j].Ops {
-			op := &in.Jobs[j].Ops[stage]
-			mi := op.Machines[0]
-			start := ready
-			if s.machFree[mi] > start {
-				start = s.machFree[mi]
-			}
-			end := start + op.Times[0]
-			out.Ops = append(out.Ops, shop.Assignment{
-				Job: j, Op: stage, Machine: mi, Start: start, End: end,
-			})
-			s.machFree[mi] = end
-			ready = end
-		}
-	}
+	flowShopDecode(in, perm, s, out)
 	return out
 }
 
@@ -258,12 +272,11 @@ func (s *Scratch) gtAdvance(in *shop.Instance, j, k int) {
 	s.candDur[j] = op.Times[0]
 }
 
-// gtPick runs one Giffler-Thompson iteration's selection shared by the
-// makespan kernel and the Into decoder: find the candidate with minimal
-// earliest completion time, then the highest-priority member of the
-// conflict set on its machine. It returns the chosen job and its machine.
-// Callers must have primed the candidate tables with gtState and keep them
-// current with gtAdvance.
+// gtPick runs one Giffler-Thompson iteration's selection: find the
+// candidate with minimal earliest completion time, then the
+// highest-priority member of the conflict set on its machine. It returns
+// the chosen job and its machine. Callers must have primed the candidate
+// tables with gtState and keep them current with gtAdvance.
 func gtPick(in *shop.Instance, priority []float64, s *Scratch, off []int) (chosen, bestM int) {
 	n := len(in.Jobs)
 	bestJob, bestECT := -1, 0
@@ -307,11 +320,10 @@ func gtPick(in *shop.Instance, priority []float64, s *Scratch, off []int) (chose
 	return chosen, bestM
 }
 
-// GifflerThompsonMakespan is the allocation-free counterpart of
-// GifflerThompson(in, priority).Makespan(): the same active-schedule builder
-// without the assignment list.
-func GifflerThompsonMakespan(in *shop.Instance, priority []float64, s *Scratch) int {
-	s = scratchOrNew(in, s)
+// gtDecode runs the Giffler-Thompson active-schedule builder shared by the
+// makespan kernel and the Into decoder, appending assignments to out when
+// non-nil, and returns the makespan.
+func gtDecode(in *shop.Instance, priority []float64, s *Scratch, out *shop.Schedule) int {
 	s.jobState(in)
 	s.machState(in, false)
 	s.gtState(in)
@@ -325,6 +337,9 @@ func GifflerThompsonMakespan(in *shop.Instance, priority []float64, s *Scratch) 
 			start = s.machFree[m]
 		}
 		end := start + s.candDur[chosen]
+		if out != nil {
+			out.Ops = append(out.Ops, shop.Assignment{Job: chosen, Op: k, Machine: m, Start: start, End: end})
+		}
 		s.jobReady[chosen] = end
 		s.machFree[m] = end
 		s.gtAdvance(in, chosen, k)
@@ -335,35 +350,26 @@ func GifflerThompsonMakespan(in *shop.Instance, priority []float64, s *Scratch) 
 	return ms
 }
 
+// GifflerThompsonMakespan is the allocation-free counterpart of
+// GifflerThompson(in, priority).Makespan(): the same active-schedule builder
+// without the assignment list.
+func GifflerThompsonMakespan(in *shop.Instance, priority []float64, s *Scratch) int {
+	return gtDecode(in, priority, scratchOrNew(s), nil)
+}
+
 // GifflerThompsonInto decodes like GifflerThompson but reuses s's buffers
 // and schedule. The returned schedule is valid until s's next use.
 func GifflerThompsonInto(in *shop.Instance, priority []float64, s *Scratch) *shop.Schedule {
-	s = scratchOrNew(in, s)
-	s.jobState(in)
-	s.machState(in, false)
-	s.gtState(in)
-	off := s.offsets(in)
+	s = scratchOrNew(s)
 	out := s.schedule(in)
-	for remaining := in.TotalOps(); remaining > 0; remaining-- {
-		chosen, m := gtPick(in, priority, s, off)
-		k := s.nextOp[chosen]
-		start := s.jobReady[chosen]
-		if s.machFree[m] > start {
-			start = s.machFree[m]
-		}
-		end := start + s.candDur[chosen]
-		out.Ops = append(out.Ops, shop.Assignment{Job: chosen, Op: k, Machine: m, Start: start, End: end})
-		s.jobReady[chosen] = end
-		s.machFree[m] = end
-		s.gtAdvance(in, chosen, k)
-	}
+	gtDecode(in, priority, s, out)
 	return out
 }
 
-// openShopPick runs the open-shop token dispatch shared by the makespan
-// kernel and the Into decoder: it picks job j's remaining operation under
-// rule and returns its index and start, or pick < 0 when j is fully
-// scheduled. done is indexed by flattened operation ID through off.
+// openShopPick runs the open-shop token dispatch of openShopDecode: it
+// picks job j's remaining operation under rule and returns its index and
+// start, or pick < 0 when j is fully scheduled. done is indexed by
+// flattened operation ID through off.
 func openShopPick(in *shop.Instance, j int, rule OpenRule, s *Scratch, off []int) (pick, pickStart int) {
 	pick = -1
 	var pickP, pickLoad int
@@ -448,13 +454,13 @@ func openShopDecode(in *shop.Instance, seq []int, rule OpenRule, s *Scratch, out
 // OpenShopMakespan is the allocation-free counterpart of
 // OpenShop(in, seq, rule).Makespan().
 func OpenShopMakespan(in *shop.Instance, seq []int, rule OpenRule, s *Scratch) int {
-	return openShopDecode(in, seq, rule, scratchOrNew(in, s), nil)
+	return openShopDecode(in, seq, rule, scratchOrNew(s), nil)
 }
 
 // OpenShopInto decodes like OpenShop but reuses s's buffers and schedule.
 // The returned schedule is valid until s's next use.
 func OpenShopInto(in *shop.Instance, seq []int, rule OpenRule, s *Scratch) *shop.Schedule {
-	s = scratchOrNew(in, s)
+	s = scratchOrNew(s)
 	out := s.schedule(in)
 	openShopDecode(in, seq, rule, s, out)
 	return out
@@ -530,13 +536,13 @@ func flexibleDecode(in *shop.Instance, assign, seq, speeds []int, s *Scratch, ou
 // Flexible(in, assign, seq, speeds).Makespan(), honouring machine
 // assignments, speed levels and detached sequence-dependent setups.
 func FlexibleMakespan(in *shop.Instance, assign, seq, speeds []int, s *Scratch) int {
-	return flexibleDecode(in, assign, seq, speeds, scratchOrNew(in, s), nil)
+	return flexibleDecode(in, assign, seq, speeds, scratchOrNew(s), nil)
 }
 
 // FlexibleInto decodes like Flexible but reuses s's buffers and schedule.
 // The returned schedule is valid until s's next use.
 func FlexibleInto(in *shop.Instance, assign, seq, speeds []int, s *Scratch) *shop.Schedule {
-	s = scratchOrNew(in, s)
+	s = scratchOrNew(s)
 	out := s.schedule(in)
 	flexibleDecode(in, assign, seq, speeds, s, out)
 	return out

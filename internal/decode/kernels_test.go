@@ -7,11 +7,12 @@ import (
 	"repro/internal/shop"
 )
 
-// The kernels must be bit-identical to the schedule-building oracles for
-// every genome: the GA trajectory may not change when a problem switches to
-// the allocation-free hot path. Each property test drives seeded random
-// genomes through kernel and oracle, sharing one Scratch across all trials
-// so buffer-reuse bugs (stale state from a previous evaluation) surface.
+// The kernels must be bit-identical to the reference decoders in
+// oracle_test.go for every genome. Each property test drives seeded random
+// genomes through the makespan kernel, the Into decoder and the exported
+// schedule-building decoder (a kernel on a fresh Scratch) and compares each
+// with the oracle, sharing one Scratch across all trials so buffer-reuse
+// bugs (stale state from a previous evaluation) surface.
 
 func sameSchedule(t *testing.T, name string, got, want *shop.Schedule) {
 	t.Helper()
@@ -43,11 +44,12 @@ func TestJobShopKernelMatchesOracle(t *testing.T) {
 	for name, in := range jobShopInstances() {
 		for trial := 0; trial < 40; trial++ {
 			seq := RandomOpSequence(in, r)
-			want := JobShop(in, seq)
+			want := jobShopOracle(in, seq)
 			if got := JobShopMakespan(in, seq, s); got != want.Makespan() {
 				t.Fatalf("%s trial %d: kernel %d, oracle %d", name, trial, got, want.Makespan())
 			}
 			sameSchedule(t, name, JobShopInto(in, seq, s), want)
+			sameSchedule(t, name, JobShop(in, seq), want)
 			// The disjunctive-graph evaluation is the second oracle (it
 			// does not model setup times, so skip it there).
 			if in.Setup == nil {
@@ -72,11 +74,12 @@ func TestGifflerThompsonKernelMatchesOracle(t *testing.T) {
 			for i := range pri {
 				pri[i] = r.Float64()
 			}
-			want := GifflerThompson(in, pri)
+			want := gtOracle(in, pri)
 			if got := GifflerThompsonMakespan(in, pri, s); got != want.Makespan() {
 				t.Fatalf("%s trial %d: kernel %d, oracle %d", name, trial, got, want.Makespan())
 			}
 			sameSchedule(t, name, GifflerThompsonInto(in, pri, s), want)
+			sameSchedule(t, name, GifflerThompson(in, pri), want)
 		}
 	}
 }
@@ -92,11 +95,12 @@ func TestOpenShopKernelMatchesOracle(t *testing.T) {
 		for _, rule := range []OpenRule{EarliestStart, LPTTask, LPTMachine} {
 			for trial := 0; trial < 30; trial++ {
 				seq := RandomOpSequence(in, r)
-				want := OpenShop(in, seq, rule)
+				want := openShopOracle(in, seq, rule)
 				if got := OpenShopMakespan(in, seq, rule, s); got != want.Makespan() {
 					t.Fatalf("%s/%v trial %d: kernel %d, oracle %d", name, rule, trial, got, want.Makespan())
 				}
 				sameSchedule(t, name+"/"+rule.String(), OpenShopInto(in, seq, rule, s), want)
+				sameSchedule(t, name+"/"+rule.String(), OpenShop(in, seq, rule), want)
 			}
 		}
 	}
@@ -122,11 +126,12 @@ func TestFlexibleKernelMatchesOracle(t *testing.T) {
 					speeds[i] = r.Intn(len(in.SpeedLevels) * 2) // exercise wrapping
 				}
 			}
-			want := Flexible(in, assign, seq, speeds)
+			want := flexibleOracle(in, assign, seq, speeds)
 			if got := FlexibleMakespan(in, assign, seq, speeds, s); got != want.Makespan() {
 				t.Fatalf("%s trial %d: kernel %d, oracle %d", name, trial, got, want.Makespan())
 			}
 			sameSchedule(t, name, FlexibleInto(in, assign, seq, speeds, s), want)
+			sameSchedule(t, name, Flexible(in, assign, seq, speeds), want)
 		}
 	}
 }
@@ -137,11 +142,12 @@ func TestFlowShopKernelMatchesOracle(t *testing.T) {
 	s := NewScratch(in)
 	for trial := 0; trial < 40; trial++ {
 		perm := RandomPermutation(in, r)
-		want := FlowShop(in, perm)
-		if got := FlowShopMakespanWith(in, perm, s); got != want.Makespan() {
+		want := flowShopOracle(in, perm)
+		if got := FlowShopMakespan(in, perm, s); got != want.Makespan() {
 			t.Fatalf("trial %d: kernel %d, oracle %d", trial, got, want.Makespan())
 		}
 		sameSchedule(t, "flowshop", FlowShopInto(in, perm, s), want)
+		sameSchedule(t, "flowshop", FlowShop(in, perm), want)
 	}
 }
 
@@ -151,12 +157,12 @@ func TestKernelsTolerateOverlongSequences(t *testing.T) {
 	in := shop.FT06()
 	r := rng.New(12)
 	seq := append(RandomOpSequence(in, r), 0, 1, 2)
-	if got, want := JobShopMakespan(in, seq, nil), JobShop(in, seq).Makespan(); got != want {
+	if got, want := JobShopMakespan(in, seq, nil), jobShopOracle(in, seq).Makespan(); got != want {
 		t.Fatalf("job shop: kernel %d, oracle %d", got, want)
 	}
 	os := shop.GenerateOpenShop("k-os3", 4, 4, 62)
 	oseq := append(RandomOpSequence(os, r), 3, 3)
-	if got, want := OpenShopMakespan(os, oseq, EarliestStart, nil), OpenShop(os, oseq, EarliestStart).Makespan(); got != want {
+	if got, want := OpenShopMakespan(os, oseq, EarliestStart, nil), openShopOracle(os, oseq, EarliestStart).Makespan(); got != want {
 		t.Fatalf("open shop: kernel %d, oracle %d", got, want)
 	}
 }
@@ -176,8 +182,8 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	fs := shop.GenerateFlowShop("z-fs", 20, 5, 911)
 	perm := RandomPermutation(fs, r)
 	sf := NewScratch(fs)
-	if n := testing.AllocsPerRun(200, func() { FlowShopMakespanWith(fs, perm, sf) }); n != 0 {
-		t.Errorf("FlowShopMakespanWith allocates %v per run", n)
+	if n := testing.AllocsPerRun(200, func() { FlowShopMakespan(fs, perm, sf) }); n != 0 {
+		t.Errorf("FlowShopMakespan allocates %v per run", n)
 	}
 
 	pri := make([]float64, js.TotalOps())

@@ -34,63 +34,8 @@ func (r OpenRule) String() string {
 
 // OpenShop decodes a permutation with repetition of job indices: each token
 // schedules one not-yet-processed operation of that job, chosen by rule, at
-// the earliest time both the job and the machine are free.
+// the earliest time both the job and the machine are free. It is
+// OpenShopInto on a fresh Scratch, so the caller owns the schedule.
 func OpenShop(in *shop.Instance, seq []int, rule OpenRule) *shop.Schedule {
-	n := len(in.Jobs)
-	done := make([][]bool, n)
-	for j := range done {
-		done[j] = make([]bool, len(in.Jobs[j].Ops))
-	}
-	jobReady := make([]int, n)
-	for j := range jobReady {
-		jobReady[j] = in.Jobs[j].Release
-	}
-	machFree := make([]int, in.NumMachines)
-	machLoad := make([]int, in.NumMachines) // remaining unscheduled load
-	for _, job := range in.Jobs {
-		for _, op := range job.Ops {
-			machLoad[op.Machines[0]] += op.Times[0]
-		}
-	}
-	s := &shop.Schedule{Inst: in, Ops: make([]shop.Assignment, 0, in.TotalOps())}
-	for _, j := range seq {
-		// Candidate: the remaining ops of job j.
-		pick := -1
-		var pickStart, pickP, pickLoad int
-		for k, op := range in.Jobs[j].Ops {
-			if done[j][k] {
-				continue
-			}
-			m := op.Machines[0]
-			start := jobReady[j]
-			if machFree[m] > start {
-				start = machFree[m]
-			}
-			p := op.Times[0]
-			better := false
-			switch rule {
-			case EarliestStart:
-				better = pick < 0 || start < pickStart || (start == pickStart && p > pickP)
-			case LPTTask:
-				better = pick < 0 || p > pickP
-			case LPTMachine:
-				better = pick < 0 || machLoad[m] > pickLoad
-			}
-			if better {
-				pick, pickStart, pickP, pickLoad = k, start, p, machLoad[m]
-			}
-		}
-		if pick < 0 {
-			continue // job already fully scheduled; tolerate excess tokens
-		}
-		op := in.Jobs[j].Ops[pick]
-		m := op.Machines[0]
-		end := pickStart + op.Times[0]
-		s.Ops = append(s.Ops, shop.Assignment{Job: j, Op: pick, Machine: m, Start: pickStart, End: end})
-		done[j][pick] = true
-		jobReady[j] = end
-		machFree[m] = end
-		machLoad[m] -= op.Times[0]
-	}
-	return s
+	return OpenShopInto(in, seq, rule, nil)
 }

@@ -17,18 +17,11 @@ import (
 // must not alias the parents (the engine hands in genomes of the retired
 // generation, which cannot alias the live population).
 
-// intoInts resizes dst to n reusing its capacity.
-func intoInts(dst []int, n int) []int {
+// into resizes dst to n reusing its capacity. The contents are
+// unspecified; callers overwrite every element.
+func into[T any](dst []T, n int) []T {
 	if cap(dst) < n {
-		return make([]int, n)
-	}
-	return dst[:n]
-}
-
-// intoKeys resizes dst to n reusing its capacity.
-func intoKeys(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return dst[:n]
 }
@@ -41,9 +34,9 @@ func JOXInto(numJobs int) func() core.CrossoverInto[[]int] {
 		keep := make([]int, numJobs)
 		var fill []int
 		return func(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
-			fill = intoInts(fill, max(len(a), len(b)))
-			dst1 = intoInts(dst1, len(a))
-			dst2 = intoInts(dst2, len(b))
+			fill = into(fill, max(len(a), len(b)))
+			dst1 = into(dst1, len(a))
+			dst2 = into(dst2, len(b))
 			jox(r, a, b, dst1, dst2, keep, fill)
 			return dst1, dst2
 		}
@@ -97,44 +90,51 @@ func OXInto() func() core.CrossoverInto[[]int] {
 		var used []bool
 		return func(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
 			n := len(a)
-			if cap(used) < n {
-				used = make([]bool, n)
-			}
-			used = used[:n]
+			used = into(used, n)
 			c1, c2 := twoCuts(r, n)
-			dst1 = intoInts(dst1, n)
-			dst2 = intoInts(dst2, n)
-			oxChildInto(dst1, a, b, c1, c2, used)
-			oxChildInto(dst2, b, a, c1, c2, used)
+			dst1 = into(dst1, n)
+			dst2 = into(dst2, n)
+			oxChildInto(dst1, a, b, c1, c2, c2, used)
+			oxChildInto(dst2, b, a, c1, c2, c2, used)
 			return dst1, dst2
 		}
 	}
 }
 
-// oxChildInto is the cyclic oxChild writing into a pre-sized child,
-// tracking segment membership in the reusable used mask.
-func oxChildInto(child, a, b []int, c1, c2 int, used []bool) {
+// oxChildInto is the one order-crossover kernel behind OX, OXInto and
+// LOX. It copies a's segment [c1, c2) into the pre-sized child, tracking
+// its values in the reusable used mask, then fills the remaining positions
+// in order from position `from`, wrapping, with b's values read in order
+// from index `from`, skipping values already in the segment. OX fills from
+// c2, LOX from 0.
+func oxChildInto(child, a, b []int, c1, c2, from int, used []bool) {
 	n := len(a)
-	for i := range used {
-		used[i] = false
-	}
+	clear(used)
 	for i := c1; i < c2; i++ {
 		child[i] = a[i]
 		used[a[i]] = true
 	}
-	// Fill the remaining positions cyclically from c2 with b's values in
-	// cyclic order from c2, skipping values already in the segment.
-	fi := c2 % n
-	for k := 0; k < n; k++ {
-		v := b[(c2+k)%n]
+	// fi walks the child's positions and bi b's, both wrapping at n by a
+	// compare rather than a division.
+	fi := from % n
+	bi := fi
+	for range n {
+		v := b[bi]
+		if bi++; bi == n {
+			bi = 0
+		}
 		if used[v] {
 			continue
 		}
 		for fi >= c1 && fi < c2 {
-			fi = (fi + 1) % n
+			if fi++; fi == n {
+				fi = 0
+			}
 		}
 		child[fi] = v
-		fi = (fi + 1) % n
+		if fi++; fi == n {
+			fi = 0
+		}
 	}
 }
 
@@ -143,17 +143,7 @@ func oxChildInto(child, a, b []int, c1, c2 int, used []bool) {
 func UniformKeysInto(p float64) func() core.CrossoverInto[[]float64] {
 	return func() core.CrossoverInto[[]float64] {
 		return func(r *rng.RNG, a, b, dst1, dst2 []float64) ([]float64, []float64) {
-			n := len(a)
-			dst1 = intoKeys(dst1, n)
-			dst2 = intoKeys(dst2, n)
-			for i := 0; i < n; i++ {
-				if r.Bool(p) {
-					dst1[i], dst2[i] = a[i], b[i]
-				} else {
-					dst1[i], dst2[i] = b[i], a[i]
-				}
-			}
-			return dst1, dst2
+			return uniformInto(r, p, a, b, dst1, dst2)
 		}
 	}
 }
@@ -163,17 +153,25 @@ func UniformKeysInto(p float64) func() core.CrossoverInto[[]float64] {
 func UniformIntInto() func() core.CrossoverInto[[]int] {
 	return func() core.CrossoverInto[[]int] {
 		return func(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
-			n := len(a)
-			dst1 = intoInts(dst1, n)
-			dst2 = intoInts(dst2, n)
-			for i := 0; i < n; i++ {
-				if r.Bool(0.5) {
-					dst1[i], dst2[i] = a[i], b[i]
-				} else {
-					dst1[i], dst2[i] = b[i], a[i]
-				}
-			}
-			return dst1, dst2
+			return uniformInto(r, 0.5, a, b, dst1, dst2)
 		}
 	}
+}
+
+// uniformInto is the one uniform crossover kernel behind the plain and
+// recycling forms on keys and ints: each position of the first child comes
+// from a with probability p, else from b, and the second child takes the
+// other parent's gene. Nil destinations get fresh storage.
+func uniformInto[T any](r *rng.RNG, p float64, a, b, dst1, dst2 []T) ([]T, []T) {
+	n := len(a)
+	dst1 = into(dst1, n)
+	dst2 = into(dst2, n)
+	for i := 0; i < n; i++ {
+		if r.Bool(p) {
+			dst1[i], dst2[i] = a[i], b[i]
+		} else {
+			dst1[i], dst2[i] = b[i], a[i]
+		}
+	}
+	return dst1, dst2
 }

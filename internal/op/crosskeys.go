@@ -7,7 +7,7 @@ import "repro/internal/rng"
 
 // UniformKeys is the uniform crossover on key vectors.
 func UniformKeys(r *rng.RNG, a, b []float64) ([]float64, []float64) {
-	return parameterizedKeys(r, a, b, 0.5)
+	return uniformInto(r, 0.5, a, b, nil, nil)
 }
 
 // ParameterizedUniformKeys is Huang et al.'s parameterized uniform
@@ -15,22 +15,8 @@ func UniformKeys(r *rng.RNG, a, b []float64) ([]float64, []float64) {
 // probability p (p > 0.5 biases children toward the elite parent).
 func ParameterizedUniformKeys(p float64) func(r *rng.RNG, a, b []float64) ([]float64, []float64) {
 	return func(r *rng.RNG, a, b []float64) ([]float64, []float64) {
-		return parameterizedKeys(r, a, b, p)
+		return uniformInto(r, p, a, b, nil, nil)
 	}
-}
-
-func parameterizedKeys(r *rng.RNG, a, b []float64, p float64) ([]float64, []float64) {
-	n := len(a)
-	c1 := make([]float64, n)
-	c2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if r.Bool(p) {
-			c1[i], c2[i] = a[i], b[i]
-		} else {
-			c1[i], c2[i] = b[i], a[i]
-		}
-	}
-	return c1, c2
 }
 
 // ArithmeticKeys is the arithmetic crossover used by Zajicek & Šucha [25]:

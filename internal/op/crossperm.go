@@ -52,62 +52,31 @@ func pmxChild(a, b []int, c1, c2 int) []int {
 // OX is the order crossover: each child keeps a segment of one parent and
 // fills the rest with the other parent's values in cyclic order.
 func OX(r *rng.RNG, a, b []int) ([]int, []int) {
-	c1, c2 := twoCuts(r, len(a))
-	return oxChild(a, b, c1, c2, true), oxChild(b, a, c1, c2, true)
+	return orderCross(r, a, b, true)
 }
 
 // LOX is the linear order crossover used by Kokosiński & Studzienny [32]:
 // as OX but the remainder fills left-to-right rather than cyclically.
 func LOX(r *rng.RNG, a, b []int) ([]int, []int) {
-	c1, c2 := twoCuts(r, len(a))
-	return oxChild(a, b, c1, c2, false), oxChild(b, a, c1, c2, false)
+	return orderCross(r, a, b, false)
 }
 
-func oxChild(a, b []int, c1, c2 int, cyclic bool) []int {
+// orderCross draws the cut pair and runs oxChildInto for both children of
+// OX (cyclic) or LOX into fresh storage: one allocation for the two
+// children and one for the segment mask.
+func orderCross(r *rng.RNG, a, b []int, cyclic bool) ([]int, []int) {
 	n := len(a)
-	child := make([]int, n)
-	used := make(map[int]bool, c2-c1)
-	for i := c1; i < c2; i++ {
-		child[i] = a[i]
-		used[a[i]] = true
-	}
-	fillPositions := make([]int, 0, n-(c2-c1))
+	c1, c2 := twoCuts(r, n)
+	from := 0
 	if cyclic {
-		for k := 0; k < n; k++ {
-			pos := (c2 + k) % n
-			if pos >= c1 && pos < c2 {
-				continue
-			}
-			fillPositions = append(fillPositions, pos)
-		}
-	} else {
-		for pos := 0; pos < n; pos++ {
-			if pos >= c1 && pos < c2 {
-				continue
-			}
-			fillPositions = append(fillPositions, pos)
-		}
+		from = c2
 	}
-	src := make([]int, 0, n)
-	if cyclic {
-		for k := 0; k < n; k++ {
-			src = append(src, b[(c2+k)%n])
-		}
-	} else {
-		src = append(src, b...)
-	}
-	fi := 0
-	for _, v := range src {
-		if used[v] {
-			continue
-		}
-		child[fillPositions[fi]] = v
-		fi++
-		if fi == len(fillPositions) {
-			break
-		}
-	}
-	return child
+	buf := make([]int, 2*n)
+	used := make([]bool, n)
+	k1, k2 := buf[:n:n], buf[n:]
+	oxChildInto(k1, a, b, c1, c2, from, used)
+	oxChildInto(k2, b, a, c1, c2, from, used)
+	return k1, k2
 }
 
 // CX is the cycle crossover (Akhshabi [18], Gu [28]): positions are
@@ -167,15 +136,5 @@ func OnePointInt(r *rng.RNG, a, b []int) ([]int, []int) {
 // [37] use it on assignment chromosomes); each position comes from either
 // parent with probability 1/2.
 func UniformInt(r *rng.RNG, a, b []int) ([]int, []int) {
-	n := len(a)
-	c1 := make([]int, n)
-	c2 := make([]int, n)
-	for i := 0; i < n; i++ {
-		if r.Bool(0.5) {
-			c1[i], c2[i] = a[i], b[i]
-		} else {
-			c1[i], c2[i] = b[i], a[i]
-		}
-	}
-	return c1, c2
+	return uniformInto(r, 0.5, a, b, nil, nil)
 }

@@ -68,11 +68,14 @@ func NewStochastic(base *shop.Instance, scenarios int, sigma float64, seed uint6
 }
 
 // ExpectedMakespan decodes the operation sequence on every scenario and
-// returns the mean makespan.
+// returns the mean makespan. The scenarios share the base instance's shape,
+// so one Scratch serves them all; it is per call, keeping ExpectedMakespan
+// safe for concurrent evaluators.
 func (s *StochasticJSSP) ExpectedMakespan(seq []int) float64 {
+	sc := decode.NewScratch(s.Base)
 	var sum float64
 	for _, inst := range s.Scenarios {
-		sum += float64(decode.JobShop(inst, seq).Makespan())
+		sum += float64(decode.JobShopMakespan(inst, seq, sc))
 	}
 	return sum / float64(len(s.Scenarios))
 }

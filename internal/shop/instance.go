@@ -194,7 +194,8 @@ func (in *Instance) LowerBoundMakespan() int {
 
 // Validate checks structural invariants of the instance definition itself
 // (machine indices in range, matching Machines/Times lengths, positive
-// processing times, setup tensor shape). It does not schedule anything.
+// processing times, setup tensor shape, and in a flow shop every job
+// visiting machines 0..m-1 in order). It does not schedule anything.
 func (in *Instance) Validate() error {
 	if in.NumMachines <= 0 {
 		return errors.New("shop: instance has no machines")
@@ -232,6 +233,18 @@ func (in *Instance) Validate() error {
 				if op.Times[k] <= 0 {
 					return fmt.Errorf("shop: job %d op %d has non-positive time %d",
 						ji, oi, op.Times[k])
+				}
+			}
+		}
+		if in.Kind == FlowShop {
+			if len(j.Ops) != in.NumMachines {
+				return fmt.Errorf("shop: flow shop job %d has %d operations, want one per machine (%d)",
+					ji, len(j.Ops), in.NumMachines)
+			}
+			for oi, op := range j.Ops {
+				if op.Machines[0] != oi {
+					return fmt.Errorf("shop: flow shop job %d op %d runs on machine %d, want %d",
+						ji, oi, op.Machines[0], oi)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package shop
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -330,6 +331,34 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if back.SetupTime(1, 2, 3) != in.SetupTime(1, 2, 3) {
 		t.Fatal("setup times lost in round trip")
+	}
+}
+
+// TestValidateRejectsNonFlowRouting pins the flow-shop routing rule: the
+// stage-indexed flow-shop decoders assume operation k runs on machine k, so
+// a FlowShop whose jobs visit the machines in another order, or visit more
+// stages than there are machines, must not validate.
+func TestValidateRejectsNonFlowRouting(t *testing.T) {
+	for name, data := range map[string]string{
+		"reversed route": `{"name":"mm","kind":0,"num_machines":2,"jobs":[` +
+			`{"ops":[{"machines":[0],"times":[5]},{"machines":[1],"times":[1]}]},` +
+			`{"ops":[{"machines":[1],"times":[5]},{"machines":[0],"times":[1]}]},` +
+			`{"ops":[{"machines":[0],"times":[2]},{"machines":[1],"times":[3]}]}]}`,
+		"three stages on two machines": `{"name":"long","kind":0,"num_machines":2,"jobs":[` +
+			`{"ops":[{"machines":[0],"times":[1]},{"machines":[1],"times":[1]},{"machines":[0],"times":[1]}]}]}`,
+	} {
+		var in Instance
+		if err := json.Unmarshal([]byte(data), &in); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		err := in.Validate()
+		if err == nil || !strings.Contains(err.Error(), "flow shop job") {
+			t.Errorf("%s: Validate() = %v, want a flow shop routing error", name, err)
+		}
+		in.Kind = JobShop // the same routes are a valid job shop
+		if err := in.Validate(); err != nil {
+			t.Errorf("%s as a job shop: %v", name, err)
+		}
 	}
 }
 

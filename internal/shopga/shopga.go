@@ -100,7 +100,7 @@ func FlowShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] 
 	batch := scalarBatch(evalWith)
 	if isMakespan(obj) {
 		evalWith = func(g []int, s *decode.Scratch) float64 {
-			return float64(decode.FlowShopMakespanWith(in, g, s))
+			return float64(decode.FlowShopMakespan(in, g, s))
 		}
 		batch = func(gs [][]int, out []float64, b *decode.BatchScratch) {
 			b.FlowShopMakespans(gs, out)

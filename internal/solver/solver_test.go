@@ -3,6 +3,8 @@ package solver
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -226,6 +228,82 @@ func TestEncodingsSolvable(t *testing.T) {
 		}
 		if err := res.Schedule.Validate(); err != nil {
 			t.Errorf("%s/%s/%s: infeasible: %v", tc.kind, tc.enc, tc.model, err)
+		}
+	}
+}
+
+// TestModelsEndToEnd solves every generated kind under every encoding it
+// admits, serially and master-slave, and requires the Result's objective
+// to equal its schedule's makespan: the fitness kernel and the schedule
+// decoder must agree on every route.
+func TestModelsEndToEnd(t *testing.T) {
+	covered := map[string]bool{}
+	for _, kind := range []string{"flow", "job", "open", "fjs", "ffs"} {
+		in, err := BuildInstance(ProblemSpec{Kind: kind, Jobs: 5, Machines: 4, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []string{EncPerm, EncSeq, EncKeys, EncFlex} {
+			if _, err := resolveEncoding(enc, in); err != nil {
+				continue // not a route for this kind
+			}
+			covered[enc] = true
+			for model, workers := range map[string]int{"serial": 0, "ms": 2} {
+				spec := Spec{
+					Problem:  ProblemSpec{Kind: kind, Jobs: 5, Machines: 4, Seed: 11},
+					Encoding: enc,
+					Model:    model,
+					Params:   Params{Pop: 16, Workers: workers},
+					Budget:   Budget{Generations: 10},
+					Seed:     5,
+				}
+				res, err := Solve(context.Background(), spec)
+				if err != nil {
+					t.Errorf("%s/%s/%s: %v", kind, enc, model, err)
+					continue
+				}
+				if got := float64(res.Schedule.Makespan()); got != res.BestObjective {
+					t.Errorf("%s/%s/%s: objective %v != schedule makespan %v", kind, enc, model, res.BestObjective, got)
+				}
+			}
+		}
+	}
+	if len(covered) != 4 {
+		t.Errorf("encodings covered: %v, want all four", covered)
+	}
+}
+
+// TestSolveRejectsNonFlowShopFiles: flow-shop instance files whose jobs do
+// not visit machines 0..m-1 in order fail validation before any decoder
+// runs, on the inline path and with worker goroutines alike. Before the
+// routing rule the first file solved to an objective below its schedule's
+// makespan and the second panicked in the flow-shop kernel.
+func TestSolveRejectsNonFlowShopFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"mm.json": `{"name":"mm","kind":0,"num_machines":2,"jobs":[` +
+			`{"ops":[{"machines":[0],"times":[5]},{"machines":[1],"times":[1]}]},` +
+			`{"ops":[{"machines":[1],"times":[5]},{"machines":[0],"times":[1]}]},` +
+			`{"ops":[{"machines":[0],"times":[2]},{"machines":[1],"times":[3]}]}]}`,
+		"long.json": `{"name":"long","kind":0,"num_machines":2,"jobs":[` +
+			`{"ops":[{"machines":[0],"times":[1]},{"machines":[1],"times":[1]},{"machines":[0],"times":[1]}]}]}`,
+	}
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 2} {
+			spec := Spec{
+				Problem: ProblemSpec{Instance: path},
+				Model:   "serial",
+				Params:  Params{Pop: 8, Workers: workers},
+				Budget:  Budget{Generations: 5},
+				Seed:    1,
+			}
+			if res, err := Solve(context.Background(), spec); err == nil {
+				t.Errorf("%s workers %d: solved to %v, want a validation error", name, workers, res.BestObjective)
+			}
 		}
 	}
 }
