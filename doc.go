@@ -55,8 +55,9 @@
 // GET /v1/stats, the Prometheus endpoint) while the submitting node
 // always reduces a best-of-fleet Result with per-node provenance. With
 // -fed-failover, degradation is the fallback, not the first response:
-// shards piggyback their newest epoch checkpoint on owner-bound migrant
-// batches, and a shard lost with its node is health-probed, then
+// shards off the owner's node piggyback their newest epoch checkpoint
+// on owner-bound migrant batches (without -fed-failover no shard packs
+// one), and a shard lost with its node is health-probed, then
 // resumed warm from that checkpoint on the least-loaded survivor, the
 // rebinding broadcast fleet-wide so barriers wait for it again.
 //

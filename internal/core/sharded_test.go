@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // shardedProblem is a CloneInto+LocalEval []int problem whose evaluation
@@ -243,19 +244,65 @@ func TestShardedStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	steps := func(workers, pop int, observe func(GenStats)) float64 {
+		eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
+			Pop: pop, Workers: workers, Ops: shardedOps(),
+			Term:         Termination{MaxGenerations: 1 << 30},
+			OnGeneration: observe,
+		})
+		defer eng.Close()
+		for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
+			eng.Step()
+		}
+		return testing.AllocsPerRun(50, eng.Step)
+	}
 	for _, workers := range []int{0, 4} {
 		for _, pop := range []int{64, 256} {
-			eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
-				Pop: pop, Workers: workers, Ops: shardedOps(),
-				Term: Termination{MaxGenerations: 1 << 30},
-			})
-			for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
-				eng.Step()
-			}
-			avg := testing.AllocsPerRun(50, eng.Step)
-			eng.Close()
+			avg := steps(workers, pop, nil)
 			if avg > 8 {
 				t.Errorf("Workers=%d Pop=%d: Step allocates %.1f/op, want <= 8", workers, pop, avg)
+			}
+			// An observed step (every served job has a generation hook)
+			// must cost no allocation the unobserved one does not.
+			var seen int
+			observed := steps(workers, pop, func(GenStats) { seen++ })
+			if seen == 0 {
+				t.Fatalf("Workers=%d Pop=%d: OnGeneration never called", workers, pop)
+			}
+			if observed > avg {
+				t.Errorf("Workers=%d Pop=%d: observed Step allocates %.2f/op, unobserved %.2f/op", workers, pop, observed, avg)
+			}
+		}
+	}
+}
+
+// TestRecordMatchesSummarize: the per-generation mean and std are
+// stats.Summarize's, bit for bit.
+func TestRecordMatchesSummarize(t *testing.T) {
+	for _, pop := range []int{2, 7, 64} {
+		var eng *Engine[[]int]
+		var got []GenStats
+		var want []stats.Summary
+		eng = New(shardedProblem(15), rng.New(3), Config[[]int]{
+			Pop: pop, Ops: shardedOps(),
+			Term: Termination{MaxGenerations: 20},
+			OnGeneration: func(gs GenStats) {
+				objs := make([]float64, 0, len(eng.Population()))
+				for _, ind := range eng.Population() {
+					objs = append(objs, ind.Obj)
+				}
+				got = append(got, gs)
+				want = append(want, stats.Summarize(objs))
+			},
+		})
+		eng.Run()
+		if len(got) == 0 {
+			t.Fatalf("Pop=%d: no generations observed", pop)
+		}
+		for i, gs := range got {
+			if gs.MeanObj != want[i].Mean || gs.StdObj != want[i].Std {
+				t.Errorf("Pop=%d gen %d: mean/std %v/%v, Summarize %v/%v",
+					pop, gs.Generation, gs.MeanObj, gs.StdObj, want[i].Mean, want[i].Std)
 			}
 		}
 	}

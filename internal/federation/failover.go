@@ -1,11 +1,12 @@
 package federation
 
 // Shard failover: the owner side of the package doc's Failover story.
-// The exchange layer (federation.go) piggybacks shard checkpoints onto
-// the owner's node; this file consumes them — when a shard's job dies
-// with its node, the owner probes the peer, picks the least-loaded
-// survivor, broadcasts the rebinding, and resubmits the shard warm from
-// its last checkpoint. Every failure along the way falls back to the
+// With failover enabled, the owner asks its remote shards for epoch
+// checkpoints (Params.FedCheckpoint, stamped in shardSpecs) and the
+// exchange layer (federation.go) piggybacks them onto the owner's node;
+// this file consumes them — when a shard's job dies with its node, the
+// owner probes the peer, picks the least-loaded survivor, broadcasts the
+// rebinding, and resubmits the shard warm from its last checkpoint. Every failure along the way falls back to the
 // pre-existing degradation policy, so failover strictly adds recovery
 // paths and never new failure modes.
 
@@ -182,6 +183,9 @@ func (n *Node) failover(ctx context.Context, rank int, shard solver.Spec, cause 
 	n.broadcastRebind(ctx, k, rank, target, fleetEpoch)
 
 	rspec := shard
+	// A shard resumed on the owner's own node dies only with the owner,
+	// which ends the run anyway: its checkpoints would have no reader.
+	rspec.Params.FedCheckpoint = target != n.rank
 	if w := rspec.Budget.WallMillis; w > 0 {
 		// The lost shard already spent cp.ElapsedMS of its wall budget.
 		rem := w - cp.ElapsedMS

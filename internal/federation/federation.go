@@ -34,11 +34,14 @@
 // reduction with per-node provenance, degraded peers marked.
 //
 // Failover. With Config.FailoverEnabled, degradation is the fallback,
-// not the first response. Every shard piggybacks its newest epoch
-// checkpoint (per-deme population, RNG streams, epoch counter) on the
-// migrant batch pushed to the owner's node, which tracks the latest
-// checkpoint per shard rank. When a shard's job dies with its node, the
-// owner health-probes the peer (bounded retries); if the peer is
+// not the first response. The owner then stamps Params.FedCheckpoint on
+// every shard placed on another node, and such a shard piggybacks its
+// newest epoch checkpoint (per-deme population, RNG streams, epoch
+// counter) on the migrant batch pushed to the owner's node, which
+// tracks the latest checkpoint per shard rank. No other shard packs
+// one: without failover nothing would read it, and the owner's own
+// shard dies only with the run. When a shard's job dies with its node,
+// the owner health-probes the peer (bounded retries); if the peer is
 // confirmed dead and a checkpoint exists, the owner resubmits the shard
 // — resumed warm from that checkpoint — onto the least-loaded surviving
 // node, and broadcasts the rebinding so the survivors clear the rank's
@@ -74,10 +77,11 @@ const (
 	// MaxBatchMigrants bounds the migrants in one POSTed batch.
 	MaxBatchMigrants = 4096
 	// MaxBatchBytes bounds the POST /v1/federation/migrants and
-	// /v1/federation/resubmit bodies. A piggybacked checkpoint rides
-	// inside this cap; a shard population too large to fit simply loses
-	// failover coverage (push fails, owner keeps no checkpoint) and falls
-	// back to degradation.
+	// /v1/federation/resubmit bodies. The checkpoint a remote shard
+	// piggybacks for a failover-enabled owner rides inside this cap; a
+	// shard population too large to fit simply loses failover coverage
+	// (push fails, owner keeps no checkpoint) and falls back to
+	// degradation.
 	MaxBatchBytes = 8 << 20
 	// epochWindow bounds how far ahead of the local barrier a buffered
 	// batch may run; beyond it the sender has long since degraded us.
@@ -112,7 +116,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// FailoverEnabled turns on shard failover: lost shards are resumed
 	// from their last piggybacked checkpoint on a surviving node instead
-	// of being degraded (see the package doc's Failover paragraph).
+	// of being degraded (see the package doc's Failover paragraph). It is
+	// also what makes this node, as owner, ask its remote shards for
+	// those checkpoints; without it no shard of its jobs packs one.
 	FailoverEnabled bool
 	// ProbeRetries bounds the health probes of a silent peer before it is
 	// declared dead (default 3).
@@ -147,7 +153,8 @@ type Node struct {
 	// on node r). Rebind broadcasts populate it.
 	routes map[string]map[int]int
 	// owned marks keys whose owner job runs here; ckpts tracks, for owned
-	// keys only, the newest piggybacked checkpoint per shard rank.
+	// keys of a failover-enabled node only, the newest piggybacked
+	// checkpoint per shard rank.
 	owned map[string]bool
 	ckpts map[string]map[int]*solver.Checkpoint
 	// fastFwd pre-registers the fleet epoch a resubmitted shard should
@@ -174,6 +181,7 @@ type Node struct {
 	shards       atomic.Int64
 	failovers    atomic.Int64
 	inboxDropped atomic.Int64
+	checkpoints  atomic.Int64
 }
 
 // run is the exchange state of one live shard: the inbox of peer batches
@@ -321,13 +329,14 @@ func (n *Node) Peers() []string { return append([]string(nil), n.peers...) }
 // Counters snapshots the federation counters.
 func (n *Node) Counters() serve.FederationCounters {
 	return serve.FederationCounters{
-		MigrantsSent:     n.sent.Load(),
-		MigrantsAccepted: n.accepted.Load(),
-		MigrantsRejected: n.rejected.Load(),
-		PeerTimeouts:     n.timeouts.Load(),
-		Shards:           n.shards.Load(),
-		Failovers:        n.failovers.Load(),
-		InboxDropped:     n.inboxDropped.Load(),
+		MigrantsSent:        n.sent.Load(),
+		MigrantsAccepted:    n.accepted.Load(),
+		MigrantsRejected:    n.rejected.Load(),
+		PeerTimeouts:        n.timeouts.Load(),
+		Shards:              n.shards.Load(),
+		Failovers:           n.failovers.Load(),
+		InboxDropped:        n.inboxDropped.Load(),
+		CheckpointsReceived: n.checkpoints.Load(),
 	}
 }
 
@@ -505,16 +514,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // deliver routes an inbound batch to every local run of its key (except
 // the sender's own), records its piggybacked checkpoint when this node
-// owns the key, or buffers it when no local shard has started yet.
+// owns the key and can fail over, or buffers it when no local shard has
+// started yet. A failover-off owner drops checkpoints unread, even from
+// peers that ship them unasked.
 func (n *Node) deliver(b *serve.MigrantBatch) {
 	n.mu.Lock()
-	if b.Checkpoint != nil && n.owned[b.Key] {
+	if b.Checkpoint != nil && n.cfg.FailoverEnabled && n.owned[b.Key] {
 		km := n.ckpts[b.Key]
 		if km == nil {
 			km = map[int]*solver.Checkpoint{}
 			n.ckpts[b.Key] = km
 		}
 		km[b.From] = b.Checkpoint
+		n.checkpoints.Add(1)
 	}
 	var targets []*run
 	for _, st := range n.runs[b.Key] {
@@ -725,7 +737,8 @@ func (n *Node) clientRetries() int {
 
 // ExchangeMigrants implements solver.MigrantExchange: one epoch barrier.
 // Ship the local elites to every live peer (the batch bound for the
-// owner's node carries the shard's newest checkpoint), wait (bounded) for
+// owner's node carries the shard's newest checkpoint, if the shard packs
+// one), wait (bounded) for
 // each live peer's batch for this epoch, degrade the ones that miss it,
 // and return the arrived migrants in sender-rank order. Barriers below
 // the run's fast-forward epoch collect without waiting.
@@ -756,8 +769,8 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	// Ship our elites asynchronously: the barrier depends on the peers'
 	// pushes, not our own, and a dead peer must not serialise retries
 	// into the epoch. The owner's node additionally gets the shard's
-	// checkpoint — on the migrant batch when the owner hosts a live
-	// shard, on a dedicated empty batch otherwise.
+	// checkpoint, when there is one — on the migrant batch when the
+	// owner hosts a live shard, on a dedicated empty batch otherwise.
 	owner := ownerRank(key)
 	ownerServed := false
 	for _, h := range n.peerHosts(key, st, degraded) {

@@ -290,6 +290,7 @@ func TestFederationEndpoints(t *testing.T) {
 		"schedserver_federation_peer_timeouts_total",
 		"schedserver_federation_failovers_total",
 		"schedserver_federation_inbox_dropped_total",
+		"schedserver_federation_checkpoints_received_total 0",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("stats missing %q:\n%s", want, stats)
@@ -392,6 +393,105 @@ func TestFederatedFailover(t *testing.T) {
 	}
 	if res.Reference != 55 || res.Gap < 0 {
 		t.Errorf("failover run reference/gap: %v/%v", res.Reference, res.Gap)
+	}
+}
+
+// TestCheckpointsOnlyWithFailover: an owner without failover never
+// holds a shard checkpoint, because no shard packs one; an owner with
+// failover tracks a checkpoint for every remote shard and none for the
+// shard it hosts. The stamp does not move the run: both fleets reach the
+// same result.
+func TestCheckpointsOnlyWithFailover(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	spec := fedSpec(9)
+	spec.Params.Interval = 1 // many epochs: a wide window to watch the owner
+	spec.Budget = solver.Budget{Generations: 120}
+
+	// run submits the spec to fleet[0] and collects, polled while the job
+	// runs, every shard rank whose checkpoint the owner tracked.
+	run := func(fleet []*fleetNode) (*solver.Result, map[int]bool) {
+		t.Helper()
+		job, err := fleet[0].Node.SubmitFederated(ctx, spec)
+		if err != nil {
+			t.Fatalf("SubmitFederated: %v", err)
+		}
+		seen := map[int]bool{}
+		done := make(chan struct{})
+		polled := make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				for _, r := range fleet[0].Node.TrackedCheckpointRanks() {
+					seen[r] = true
+				}
+				select {
+				case <-done:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}()
+		res, err := job.Await(ctx)
+		close(done)
+		<-polled
+		if err != nil {
+			t.Fatalf("Await: %v", err)
+		}
+		for _, nr := range res.Nodes {
+			if nr.Degraded {
+				t.Fatalf("healthy fleet: node %s degraded", nr.Node)
+			}
+		}
+		return res, seen
+	}
+
+	plain := newFleet(t, 2, federation.Config{})
+	off, seen := run(plain)
+	if len(seen) != 0 {
+		t.Errorf("failover-off owner tracked checkpoints of ranks %v", seen)
+	}
+	for i, fn := range plain {
+		if got := fn.Node.Counters().CheckpointsReceived; got != 0 {
+			t.Errorf("failover-off node %d received %d checkpoints", i, got)
+		}
+	}
+
+	fo := newFleet(t, 3, federation.Config{FailoverEnabled: true})
+	on, seen := run(fo)
+	own := fo[0].Node.Rank()
+	for r := 0; r < 3; r++ {
+		if r != own && !seen[r] {
+			t.Errorf("failover owner (rank %d) never tracked remote shard %d's checkpoint (tracked %v)", own, r, seen)
+		}
+	}
+	if seen[own] {
+		t.Errorf("failover owner tracked the checkpoint of its own shard %d", own)
+	}
+	if got := fo[0].Node.Counters().CheckpointsReceived; got < 2 {
+		t.Errorf("failover owner received %d checkpoints, want >= 2", got)
+	}
+	for i, fn := range fo[1:] {
+		if got := fn.Node.Counters().CheckpointsReceived; got != 0 {
+			t.Errorf("non-owner node %d received %d checkpoints", i+1, got)
+		}
+	}
+	if stats := fo[0].Node.StatsText(); strings.Contains(stats, "schedserver_federation_checkpoints_received_total 0\n") {
+		t.Errorf("stats do not expose the received checkpoints:\n%s", stats)
+	}
+
+	// Three shards instead of two change the run; replay the failover
+	// fleet's shape without failover to compare like with like. Only the
+	// best objective replays exactly, as in TestFederatedDeterminism: a
+	// finished peer's Done notice can overtake its final-epoch batch, so
+	// the last epoch's migrant evaluations vary by timing.
+	plain3 := newFleet(t, 3, federation.Config{})
+	off3, _ := run(plain3)
+	if on.BestObjective != off3.BestObjective {
+		t.Errorf("checkpoint stamp moved the run: best %v, without failover %v", on.BestObjective, off3.BestObjective)
+	}
+	if off.BestObjective <= 0 || off.Schedule == nil {
+		t.Errorf("failover-off result invalid: %+v", off)
 	}
 }
 

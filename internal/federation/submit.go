@@ -88,6 +88,9 @@ func (n *Node) shardSpecs(spec solver.Spec, key string, islands, nodes int) ([]s
 		sp.Params.FedKey = key
 		sp.Params.FedNodes = nodes
 		sp.Params.FedRank = r
+		// Only a shard off this node is worth checkpointing, and only
+		// when failover can resume it: if this node dies the run dies.
+		sp.Params.FedCheckpoint = n.cfg.FailoverEnabled && r != n.rank
 		sp.Params.Islands = si
 		sp.Params.Pop = pop*(cum+si)/islands - pop*cum/islands
 		cum += si

@@ -108,7 +108,9 @@ type MigrantBatch struct {
 	// Checkpoint piggybacks the sender shard's newest epoch checkpoint on
 	// the batch pushed to the job's owner node, which tracks it so a shard
 	// lost to a node death can be resumed on a surviving node instead of
-	// degraded. Batches to non-owner peers omit it.
+	// degraded. Only a shard whose owner can fail over and runs on another
+	// node sends one (Params.FedCheckpoint); batches to non-owner peers,
+	// and every batch of any other shard, omit it.
 	Checkpoint *solver.Checkpoint `json:"checkpoint,omitempty"`
 }
 
@@ -151,9 +153,11 @@ type FederationCounters struct {
 	Shards           int64 `json:"shards_total"`
 	// Failovers counts lost shards successfully resubmitted to a
 	// surviving node; InboxDropped counts migrant batches dropped on
-	// pending-inbox overflow.
-	Failovers    int64 `json:"failovers"`
-	InboxDropped int64 `json:"inbox_dropped"`
+	// pending-inbox overflow; CheckpointsReceived counts shard epoch
+	// checkpoints this node stored as a failover-enabled owner.
+	Failovers           int64 `json:"failovers"`
+	InboxDropped        int64 `json:"inbox_dropped"`
+	CheckpointsReceived int64 `json:"checkpoints_received"`
 }
 
 // FederationInfo is the GET /v1/federation/info payload: the fleet as

@@ -139,5 +139,8 @@ func FederationStatsText(peers int, c FederationCounters) string {
 	b.WriteString("# HELP schedserver_federation_inbox_dropped_total Migrant batches dropped on pending-inbox overflow.\n")
 	b.WriteString("# TYPE schedserver_federation_inbox_dropped_total counter\n")
 	fmt.Fprintf(&b, "schedserver_federation_inbox_dropped_total %d\n", c.InboxDropped)
+	b.WriteString("# HELP schedserver_federation_checkpoints_received_total Shard epoch checkpoints stored for failover.\n")
+	b.WriteString("# TYPE schedserver_federation_checkpoints_received_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_checkpoints_received_total %d\n", c.CheckpointsReceived)
 	return b.String()
 }

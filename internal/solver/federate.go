@@ -55,7 +55,10 @@ type MigrantExchange interface {
 	// waits must abort on cancellation. cp, when non-nil, is the shard's
 	// newest epoch checkpoint; implementations piggyback it on the
 	// outbound batch so the owner can resubmit the shard elsewhere if
-	// this node dies (nil during epoch 0: nothing to resume from yet).
+	// this node dies. It is nil during epoch 0 (nothing to resume from
+	// yet) and always nil unless the owner asked for checkpoints
+	// (Params.FedCheckpoint: it can fail over and the shard runs on
+	// another node).
 	ExchangeMigrants(ctx context.Context, key string, rank, epoch int, out []Migrant, cp *Checkpoint) ExchangeReport
 	// MigrantRejected reports an inbound migrant that failed the
 	// per-encoding unpack validation and was dropped (the damaged-migrant

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -123,6 +124,8 @@ func TestValidateFederationFields(t *testing.T) {
 		{"fed_key without nodes", func(s *Spec) { s.Params.FedKey = "k" }, "params.fed_key"},
 		{"fed_nodes without key", func(s *Spec) { s.Params.FedNodes = 2 }, "params.fed_nodes"},
 		{"federate with shard key", func(s *Spec) { s.Params.Federate = true; s.Params.FedNodes = 2; s.Params.FedKey = "k" }, "params.federate"},
+		{"fed_checkpoint without key", func(s *Spec) { s.Params.FedCheckpoint = true }, "params.fed_checkpoint"},
+		{"fed_checkpoint on owner spec", func(s *Spec) { s.Params.Federate = true; s.Params.FedCheckpoint = true }, "params.fed_checkpoint"},
 		{"epoch timeout negative", func(s *Spec) { s.Params.Federate = true; s.Params.FedEpochTimeoutMS = -1 }, "params.fed_epoch_timeout_ms"},
 		{"epoch timeout beyond cap", func(s *Spec) { s.Params.Federate = true; s.Params.FedEpochTimeoutMS = 3_600_001 }, "params.fed_epoch_timeout_ms"},
 		{"stall negative", func(s *Spec) { s.StallGenerations = -1 }, "stall_generations"},
@@ -161,6 +164,10 @@ func TestValidateFederationFields(t *testing.T) {
 	ok.Params.FedKey, ok.Params.FedNodes, ok.Params.FedRank = "f0-1", 3, 2
 	if err := ok.Validate(); err != nil {
 		t.Errorf("shard spec rejected: %v", err)
+	}
+	ok.Params.FedCheckpoint = true
+	if err := ok.Validate(); err != nil {
+		t.Errorf("checkpointing shard spec rejected: %v", err)
 	}
 	ok = base()
 	ok.StallGenerations = 50
@@ -230,3 +237,66 @@ func (nopExchange) ExchangeMigrants(_ context.Context, _ string, _, _ int, _ []M
 }
 func (nopExchange) MigrantRejected(string)    {}
 func (nopExchange) ShardFinished(string, int) {}
+
+// cpExchange is a one-shard fleet that records the checkpoint handed to
+// every epoch barrier and echoes the shard's own elites back as the
+// peers' migrants, so injection runs too.
+type cpExchange struct {
+	nopExchange
+	cps []*Checkpoint
+}
+
+func (x *cpExchange) ExchangeMigrants(_ context.Context, _ string, _, _ int, out []Migrant, cp *Checkpoint) ExchangeReport {
+	x.cps = append(x.cps, cp)
+	return ExchangeReport{In: out}
+}
+
+// TestShardCheckpointGate: a shard packs epoch checkpoints for the
+// exchange only when the owner stamped Params.FedCheckpoint, and the
+// stamp does not move the trajectory.
+func TestShardCheckpointGate(t *testing.T) {
+	spec := smallSpec("island")
+	spec.Params.Islands, spec.Params.Interval, spec.Params.Migrants = 4, 2, 1
+	spec.Trace = true
+	spec.Params.FedKey, spec.Params.FedNodes, spec.Params.FedRank = "f1-x-1", 2, 0
+	runShard := func(stamp bool) (*Result, []*Checkpoint) {
+		t.Helper()
+		s := spec
+		s.Params.FedCheckpoint = stamp
+		ex := &cpExchange{}
+		res, err := solve(context.Background(), s, nil, nil, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.cps) < 3 {
+			t.Fatalf("stamp=%v: %d epoch barriers, want >= 3", stamp, len(ex.cps))
+		}
+		return res, ex.cps
+	}
+
+	plain, cps := runShard(false)
+	for e, cp := range cps {
+		if cp != nil {
+			t.Errorf("unstamped shard handed a checkpoint to epoch %d", e)
+		}
+	}
+	stamped, cps := runShard(true)
+	if cps[0] != nil {
+		t.Errorf("stamped shard handed a checkpoint to epoch 0, before any epoch finished")
+	}
+	for e, cp := range cps[1:] {
+		if cp == nil {
+			t.Errorf("stamped shard handed no checkpoint to epoch %d", e+1)
+		} else if cp.Epoch != e+1 {
+			t.Errorf("epoch %d barrier got the checkpoint of epoch %d", e+1, cp.Epoch)
+		}
+	}
+
+	if plain.BestObjective != stamped.BestObjective || plain.Evaluations != stamped.Evaluations {
+		t.Errorf("stamp moved the run: best %v/%v, evaluations %d/%d",
+			plain.BestObjective, stamped.BestObjective, plain.Evaluations, stamped.Evaluations)
+	}
+	if !reflect.DeepEqual(plain.Trace, stamped.Trace) || len(plain.Trace) == 0 {
+		t.Errorf("stamp moved the trace:\n%v\n%v", plain.Trace, stamped.Trace)
+	}
+}

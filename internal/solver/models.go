@@ -293,15 +293,19 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 		Stop: run.stop,
 	}
 	fed := run.exchange != nil && run.Spec.Params.FedKey != ""
+	// shipCP: the owner asked for this shard's epoch checkpoints
+	// (Params.FedCheckpoint: it can resume the shard elsewhere).
+	shipCP := fed && run.Spec.Params.FedCheckpoint
 	ckActive := run.ck.active()
 
 	// The epoch observer is also the checkpoint seam: island state only
 	// sits at a resumable boundary between epochs, so snapshots are taken
 	// from OnEpoch (which runs on the model's goroutine, after the epoch's
-	// island goroutines joined). A federated shard snapshots EVERY epoch —
-	// shardCP is what the next ExchangeMigrants piggybacks for the owner's
-	// failover — while the durability seam saves on its generation cadence
-	// converted to epochs.
+	// island goroutines joined). A shard whose owner can fail over
+	// snapshots EVERY epoch — shardCP is what the next ExchangeMigrants
+	// ships to the owner — while the durability seam saves on its
+	// generation cadence converted to epochs. Any other shard packs no
+	// checkpoint and shardCP stays nil.
 	var mdl *island.Model[G]
 	var shardCP *Checkpoint
 	var baseElapsed int64
@@ -316,18 +320,18 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 		}
 	}
 	start := time.Now()
-	if run.emit != nil || fed || ckActive {
+	if run.emit != nil || shipCP || ckActive {
 		icfg.OnEpoch = func(es island.EpochStats) {
 			if run.emit != nil {
 				run.observeEpoch(es.Epoch, es.Generation, es.Islands, es.BestObj, migrationEdges(es.Exchanges))
 			}
 			doSave := ckActive && (es.Epoch+1)%saveEvery == 0
-			if !fed && !doSave {
+			if !shipCP && !doSave {
 				return
 			}
 			cp := packIslandCheckpoint(run, enc, mdl.Snapshot())
 			cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
-			if fed {
+			if shipCP {
 				shardCP = cp
 			}
 			if doSave {
@@ -373,7 +377,7 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 		if rerr := mdl.Restore(snap); rerr != nil {
 			return nil, rerr
 		}
-		if fed {
+		if shipCP {
 			// A resumed failover shard re-offers its resume point until the
 			// first fresh epoch snapshot replaces it, so a second node loss
 			// still finds a checkpoint at the owner.

@@ -106,6 +106,13 @@ type Params struct {
 	// by -fed-epoch-timeout-ms). It rides the shard specs to every node,
 	// so the whole fleet shares one barrier budget per job.
 	FedEpochTimeoutMS int64 `json:"fed_epoch_timeout_ms,omitempty"`
+
+	// FedCheckpoint asks a shard to hand its newest epoch checkpoint to
+	// every migrant exchange, for the owner's failover. The owner stamps
+	// it only when it can fail over and the shard runs on another node:
+	// a checkpoint nobody can resume from is pure cost, so without it
+	// the shard packs none.
+	FedCheckpoint bool `json:"fed_checkpoint,omitempty"`
 }
 
 // DefaultGenerations is the generation budget an all-zero Budget gets;

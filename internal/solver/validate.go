@@ -223,6 +223,9 @@ func (s Spec) Validate() error {
 	} else if pr.FedNodes > 0 {
 		add("params.fed_nodes", "fed_nodes set without fed_key")
 	}
+	if pr.FedCheckpoint && pr.FedKey == "" {
+		add("params.fed_checkpoint", "fed_checkpoint set without fed_key")
+	}
 	if pr.Federate && pr.FedKey != "" {
 		add("params.federate", "federate and shard coordinates are mutually exclusive")
 	}
